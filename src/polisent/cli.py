@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
 from . import kb as kbmod
 from .analyzer import analyze_article, trace
-from .errors import DuplicateArticle, PolisentError
+from .errors import CorruptDocument, DuplicateArticle, PolisentError
 from .ledger import (
     ARTICLE,
     NEUTRAL,
@@ -44,8 +46,11 @@ def _fmt_score(score) -> str:
 
 
 def _load_kb(path: str | Path) -> kbmod.KnowledgeBase:
-    with open(path, encoding="utf-8") as handle:
-        return kbmod.load(handle)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptDocument("document", f"not UTF-8 text ({exc.reason})") from None
+    return kbmod.loads(text)
 
 
 def _load_kb_or_empty(path: str | Path) -> kbmod.KnowledgeBase:
@@ -55,7 +60,27 @@ def _load_kb_or_empty(path: str | Path) -> kbmod.KnowledgeBase:
 
 
 def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
-    Path(path).write_text(kbmod.dumps(kb), encoding="utf-8")
+    """Write the document to a temp file beside ``path``, then rename it over.
+
+    A crash at any point leaves either the old or the new document, and
+    a failed save removes its temp file.  The new file keeps the mode of
+    the one it replaces.
+    """
+    path = Path(path)
+    text = kbmod.dumps(kb)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _single_outlet(kb: kbmod.KnowledgeBase, override: str | None) -> str | None:

@@ -199,6 +199,8 @@ def loads(text: str) -> KnowledgeBase:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorruptDocument("document", f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise CorruptDocument("document", "JSON nested too deeply") from None
 
     _expect_keys(document, "document", _TOP_KEYS)
 
@@ -294,7 +296,3 @@ def loads(text: str) -> KnowledgeBase:
         lexicon_fingerprint=fingerprint,
         format_version=version,
     )
-
-
-def load(source: IO[str]) -> KnowledgeBase:
-    return loads(source.read())

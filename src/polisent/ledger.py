@@ -163,22 +163,32 @@ class ArticleScoreHistory:
 
     def __init__(self):
         self._scores: dict[tuple[str, str], list[tuple[str, Fraction]]] = {}
+        # Outlets with at least one score per target, so reads by target
+        # touch only that target's pairs.
+        self._outlets: dict[str, set[str]] = {}
 
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
         score = Fraction(score)
         if not -1 <= score <= 1:
             raise ValueError(f"article score {score} outside [-1, 1]")
-        self._scores.setdefault((outlet, whom), []).append((article_id, score))
+        entries = self._scores.get((outlet, whom))
+        if entries is None:
+            entries = self._scores[(outlet, whom)] = []
+            self._outlets.setdefault(whom, set()).add(outlet)
+        entries.append((article_id, score))
 
     def entries(self, outlet: str, whom: str) -> list[tuple[str, Fraction]]:
         return list(self._scores.get((outlet, whom), []))
 
     def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
-        collected: list[Fraction] = []
-        for (o, h), entries in sorted(self._scores.items()):
-            if h == whom and (outlet is None or o == outlet):
-                collected.extend(score for _, score in entries)
-        return collected
+        """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
+        return list(self._iter_scores(whom, outlet))
+
+    def _iter_scores(self, whom: str, outlet: str | None) -> Iterator[Fraction]:
+        outlets = sorted(self._outlets.get(whom, ())) if outlet is None else (outlet,)
+        for o in outlets:
+            for _, score in self._scores.get((o, whom), ()):
+                yield score
 
     def keys(self) -> list[tuple[str, str]]:
         return sorted(self._scores)
@@ -202,8 +212,12 @@ class ArticleScoreHistory:
 def outlet_tendency(
     history: ArticleScoreHistory, whom: str, outlet: str | None = None
 ) -> Score:
-    """Arithmetic mean of the recorded article scores for one target."""
-    scores = history.scores(whom, outlet=outlet)
+    """Arithmetic mean of the recorded article scores for one target.
+
+    Reads only the scores of the (outlet, whom) pairs asked for; with
+    ``outlet=None`` that is every outlet's pair for ``whom``.
+    """
+    scores = list(history._iter_scores(whom, outlet))
     if not scores:
         return NEUTRAL
     return sum(scores, Fraction(0)) / len(scores)
@@ -226,14 +240,16 @@ def format_matrix(
     whos = [outlet] + sorted(ledger.whos() - {outlet})
     ids = ledger.whos() | ledger.whoms()
     whoms = [outlet] + sorted(ids - {outlet})
+    # One pass groups the direct cells by target; a row's outlet view is
+    # the sum of that row's cells (see ``outlet_view``).
+    rows: dict[str, dict[str, Cell]] = {}
+    for (who, whom), cell in ledger._cells.items():
+        rows.setdefault(whom, {})[who] = cell
     lines = ["\t".join([""] + whos)]
     for whom in whoms:
-        row = [whom]
-        for who in whos:
-            if with_outlet_view and who == outlet:
-                cell = outlet_view(ledger, outlet, whom)
-            else:
-                cell = ledger.cell(who, whom)
-            row.append(str(getattr(cell, value)))
-        lines.append("\t".join(row))
+        row = rows.get(whom, {})
+        shown = {who: str(getattr(cell, value)) for who, cell in row.items()}
+        if with_outlet_view:
+            shown[outlet] = str(sum(getattr(cell, value) for cell in row.values()))
+        lines.append("\t".join([whom] + [shown.get(who, "0") for who in whos]))
     return "\n".join(lines) + "\n"

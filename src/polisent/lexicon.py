@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
-from .errors import DuplicateSurface, InvalidValence, MalformedLine
+from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
 
 _SECTIONS = ("stopwords", "negations", "reporting", "opinions", "entities")
 
@@ -81,6 +81,7 @@ class Lexicon:
         self.stopwords = frozenset(stopwords)
         self.reporting_verbs = frozenset(reporting_verbs)
         self.entities = tuple(entities)
+        self._fingerprint: str | None = None
 
         if not self.outlet_id:
             raise MalformedLine("outlet id must be non-empty")
@@ -195,8 +196,13 @@ class Lexicon:
         return "\n".join(lines) + "\n"
 
     def fingerprint(self) -> str:
-        """Content hash binding knowledge bases to the lexicon they used."""
-        return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
+        """Content hash binding knowledge bases to the lexicon they used.
+
+        Computed on the first call and kept, since the lexicon is immutable.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     def _key(self):
         return (
@@ -336,5 +342,8 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as handle:
-        return load_lexicon(handle)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return load_lexicon(text.splitlines())

@@ -149,14 +149,31 @@ def parse_article(text: str, origin: str = "<article>") -> RawArticle:
 
 def read_article(path: str | Path) -> RawArticle:
     path = Path(path)
-    return parse_article(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_article(text, origin=str(path))
 
 
 def load_corpus(directory: str | Path) -> list[RawArticle]:
-    """Read every ``*.txt`` article, ordered by ascending article id."""
+    """Read every ``*.txt`` article, ordered by ascending article id.
+
+    Two files with the same article id are a :class:`CorpusError`.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"{directory}: not a directory")
-    articles = [read_article(path) for path in sorted(directory.glob("*.txt"))]
+    articles = []
+    origins: dict[str, Path] = {}
+    for path in sorted(directory.glob("*.txt")):
+        article = read_article(path)
+        if article.article_id in origins:
+            raise CorpusError(
+                f"{path}: article id {article.article_id!r} is also used by "
+                f"{origins[article.article_id]}"
+            )
+        origins[article.article_id] = path
+        articles.append(article)
     articles.sort(key=lambda a: a.article_id)
     return articles

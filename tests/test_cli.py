@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -220,3 +222,99 @@ def test_report_matrices_flag(capsys, trained_kb_path):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "train")
     assert code == 2
+
+
+@pytest.fixture()
+def new_article_corpus(tmp_path):
+    """A corpus of one article the trained demo KB has not seen."""
+    extra = tmp_path / "extra"
+    extra.mkdir()
+    (extra / "3.txt").write_text("@article 3 @outlet k\nAndi berkata KPK baik.",
+                                 encoding="utf-8")
+    return str(extra)
+
+
+def test_train_failed_save_keeps_old_kb(capsys, monkeypatch, trained_kb_path,
+                                        new_article_corpus):
+    before = Path(trained_kb_path).read_bytes()
+
+    def fail(src, dst):
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
+                       "--kb", trained_kb_path)
+    assert code == 2
+    assert "injected failure" in err
+    assert Path(trained_kb_path).read_bytes() == before
+    assert sorted(p.name for p in Path(trained_kb_path).parent.iterdir()) == [
+        "demo.kb.json", "extra"
+    ]
+
+
+def test_train_save_keeps_file_mode(capsys, trained_kb_path, new_article_corpus):
+    os.chmod(trained_kb_path, 0o600)
+    code, _, _ = run(capsys, "train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
+                     "--kb", trained_kb_path)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(trained_kb_path).st_mode) == 0o600
+
+
+NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
+
+
+def test_non_utf8_article(capsys, tmp_path, trained_kb_path):
+    article = tmp_path / "3.txt"
+    article.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "analyze", str(article), "--lexicon", LEXICON,
+                         "--kb", trained_kb_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {article}: not UTF-8 text")
+
+
+def test_non_utf8_corpus_article(capsys, tmp_path, kb_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    (corpus / "3.txt").write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "train", "--corpus", str(corpus), "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {corpus / '3.txt'}: not UTF-8 text")
+    assert not Path(kb_path).exists()
+
+
+def test_non_utf8_lexicon(capsys, tmp_path, kb_path):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(b"[outlet] k\n[opinions]\nbaik +1\n\xe9 -1\n")
+    code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", str(lexicon),
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {lexicon}: not UTF-8 text")
+    code, _, err = run(capsys, "lexicon", "validate", str(lexicon))
+    assert code == 2
+    assert "not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", [("report",), ("kb", "export")],
+                         ids=["report", "export"])
+@pytest.mark.parametrize("content", [b"[" * 100000, b"\xff{}"],
+                         ids=["deeply-nested", "not-utf8"])
+def test_unreadable_kb_document(capsys, tmp_path, command, content):
+    kb_path = tmp_path / "bad.kb.json"
+    kb_path.write_bytes(content)
+    code, out, err = run(capsys, *command, "--kb", str(kb_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: document: ")
+
+
+def test_train_duplicate_article_id_in_corpus(capsys, tmp_path, kb_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    (corpus / "copy.txt").write_text("@article 1 @outlet k\nAndi baik.", encoding="utf-8")
+    code, out, err = run(capsys, "train", "--corpus", str(corpus), "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert str(corpus / "1.txt") in err
+    assert str(corpus / "copy.txt") in err
+    assert "already processed" not in err
+    assert not Path(kb_path).exists()

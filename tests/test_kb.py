@@ -140,6 +140,14 @@ def test_load_truncated_document(trained_kb):
         kbmod.loads(text[: len(text) // 2])
 
 
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],
+                         ids=["array", "object"])
+def test_load_deeply_nested_document(text):
+    with pytest.raises(CorruptDocument) as err:
+        kbmod.loads(text)
+    assert "nested too deeply" in str(err.value)
+
+
 def test_load_rejects_invariant_violation(trained_kb):
     document = json.loads(kbmod.dumps(trained_kb))
     document["cells"][0]["p"] = document["cells"][0]["s"] + 1

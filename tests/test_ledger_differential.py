@@ -1,0 +1,83 @@
+"""Indexed history reads and one-pass matrices agree with the scanning oracle."""
+
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import ledger_oracle as oracle
+from polisent import (
+    CUMULATIVE,
+    ArticleScoreHistory,
+    PolarityLedger,
+    StatementRecord,
+    format_matrix,
+    outlet_tendency,
+    outlet_view,
+)
+
+IDS = ("k", "m", "andi", "kpk", "deddy")
+OUTLETS = ("k", "m", "t", "b", "antara")
+ABSENT = "nobody"  # never a speaker, target or outlet
+
+article_scores = st.integers(1, 6).flatmap(
+    lambda den: st.builds(Fraction, st.integers(-den, den), st.just(den))
+)
+history_entries = st.lists(
+    st.tuples(st.sampled_from(OUTLETS), st.sampled_from(IDS), article_scores), max_size=30
+)
+statements = st.lists(
+    st.tuples(st.sampled_from(IDS), st.sampled_from(IDS), st.sampled_from((-1, 1))),
+    max_size=40,
+)
+
+
+def build_history(entries) -> ArticleScoreHistory:
+    history = ArticleScoreHistory()
+    for i, (outlet, whom, score) in enumerate(entries):
+        history.record(outlet, whom, f"a{i}", score)
+    return history
+
+
+def build_ledger(triples) -> PolarityLedger:
+    ledger = PolarityLedger(CUMULATIVE)
+    for i, (who, whom, value) in enumerate(triples):
+        ledger.apply(StatementRecord("a", i + 1, who, whom, value))
+    return ledger
+
+
+@given(
+    entries=history_entries,
+    whom=st.sampled_from(IDS + (ABSENT,)),
+    outlet=st.sampled_from(OUTLETS + (None, ABSENT)),
+)
+@example(entries=[("k", "andi", Fraction(1, 2)), ("k", "andi", Fraction(-1, 2))],
+         whom="andi", outlet="k")
+@example(entries=[(o, "andi", Fraction(i, 5)) for i, o in enumerate(reversed(OUTLETS))],
+         whom="andi", outlet=None)
+@example(entries=[], whom="andi", outlet=None)
+def test_history_reads_match_oracle(entries, whom, outlet):
+    history = build_history(entries)
+    assert history.scores(whom, outlet=outlet) == oracle.scores(history, whom, outlet=outlet)
+    got = outlet_tendency(history, whom, outlet=outlet)
+    want = oracle.outlet_tendency(history, whom, outlet=outlet)
+    # Type first: a tendency that cancels to 0 is a Fraction, not NEUTRAL.
+    assert type(got) is type(want)
+    assert got == want
+
+
+@given(
+    triples=statements,
+    outlet=st.sampled_from(IDS + (ABSENT,)),
+    value=st.sampled_from(("p", "s")),
+    with_view=st.booleans(),
+)
+@example(triples=[("k", "andi", 1), ("k", "andi", -1)], outlet="k", value="p", with_view=True)
+@example(triples=[], outlet="k", value="s", with_view=True)
+def test_matrices_match_oracle(triples, outlet, value, with_view):
+    ledger = build_ledger(triples)
+    assert format_matrix(ledger, outlet, value=value, with_outlet_view=with_view) == (
+        oracle.format_matrix(ledger, outlet, value=value, with_outlet_view=with_view)
+    )
+    for whom in IDS + (ABSENT,):
+        assert outlet_view(ledger, outlet, whom) == oracle.outlet_view(ledger, outlet, whom)
