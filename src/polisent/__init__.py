@@ -29,7 +29,6 @@ from .ledger import (
     Cell,
     PolarityLedger,
     article_score,
-    classify,
     classify_score,
     format_matrix,
     merge,
@@ -92,7 +91,6 @@ __all__ = [
     "VersionMismatch",
     "analyze_article",
     "article_score",
-    "classify",
     "classify_score",
     "cleanse",
     "format_matrix",

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import IO
 
 from .analyzer import StatementRecord, analyze_article
 from .errors import (
@@ -57,24 +56,17 @@ class KnowledgeBase:
         history: ArticleScoreHistory | None = None,
         processed: set[str] | None = None,
         lexicon_fingerprint: str | None = None,
-        format_version: int = FORMAT_VERSION,
     ):
         self.cumulative = cumulative if cumulative is not None else PolarityLedger(CUMULATIVE)
         self.history = history if history is not None else ArticleScoreHistory()
         self.processed = set(processed) if processed is not None else set()
         self.lexicon_fingerprint = lexicon_fingerprint
-        self.format_version = format_version
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.processed and not len(self.cumulative) and not len(self.history)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
         return (
-            self.format_version == other.format_version
-            and self.lexicon_fingerprint == other.lexicon_fingerprint
+            self.lexicon_fingerprint == other.lexicon_fingerprint
             and self.processed == other.processed
             and self.cumulative == other.cumulative
             and self.history == other.history
@@ -93,7 +85,6 @@ class IngestReport:
 
     article_id: str
     records: list[StatementRecord] = field(default_factory=list)
-    article_ledger: PolarityLedger = field(default_factory=lambda: PolarityLedger(ARTICLE))
     scores: dict[str, Fraction] = field(default_factory=dict)
 
 
@@ -132,14 +123,13 @@ def ingest(kb: KnowledgeBase, article: RawArticle, lexicon: Lexicon) -> IngestRe
     return IngestReport(
         article_id=article.article_id,
         records=records,
-        article_ledger=article_ledger,
         scores=scores,
     )
 
 
 def dumps(kb: KnowledgeBase) -> str:
     document = {
-        "version": kb.format_version,
+        "version": FORMAT_VERSION,
         "lexicon_fingerprint": kb.lexicon_fingerprint,
         "processed": sorted(kb.processed),
         "cells": [
@@ -165,18 +155,15 @@ def dumps(kb: KnowledgeBase) -> str:
     return json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def save(kb: KnowledgeBase, sink: IO[str]) -> None:
-    sink.write(dumps(kb))
-
-
-def _expect(condition: bool, path: str, message: str) -> None:
+def _expect(condition: bool, path: str, message: str, *args: object) -> None:
+    """Raise unless ``condition``; only then is ``message`` formatted with ``args``."""
     if not condition:
-        raise CorruptDocument(path, message)
+        raise CorruptDocument(path, message.format(*args))
 
 
 def _expect_int(value: object, path: str) -> int:
     # bool is an int subclass; reject it explicitly.
-    _expect(type(value) is int, path, f"expected an integer, got {value!r}")
+    _expect(type(value) is int, path, "expected an integer, got {!r}", value)
     return value
 
 
@@ -187,10 +174,10 @@ def _expect_str(value: object, path: str) -> str:
 
 def _expect_keys(value: object, path: str, keys: set[str]) -> dict:
     _expect(isinstance(value, dict), path, "expected an object")
-    extra = set(value) - keys
-    missing = keys - set(value)
-    _expect(not extra, path, f"unknown fields {sorted(extra)}")
-    _expect(not missing, path, f"missing fields {sorted(missing)}")
+    if value.keys() != keys:
+        extra = value.keys() - keys
+        _expect(not extra, path, "unknown fields {}", sorted(extra))
+        raise CorruptDocument(path, f"missing fields {sorted(keys - value.keys())}")
     return value
 
 
@@ -220,7 +207,7 @@ def loads(text: str) -> KnowledgeBase:
     for i, article_id in enumerate(raw_processed):
         path = f"processed[{i}]"
         article_id = _expect_str(article_id, path)
-        _expect(article_id not in processed, path, f"duplicate article id {article_id!r}")
+        _expect(article_id not in processed, path, "duplicate article id {!r}", article_id)
         processed.add(article_id)
 
     raw_cells = document["cells"]
@@ -234,11 +221,11 @@ def loads(text: str) -> KnowledgeBase:
         p = _expect_int(raw["p"], f"{path}.p")
         s = _expect_int(raw["s"], f"{path}.s")
         _expect(s >= 1, f"{path}.s", "statement count must be at least 1")
-        _expect(abs(p) <= s, f"{path}.p", f"|p| = {abs(p)} exceeds s = {s}")
+        _expect(abs(p) <= s, f"{path}.p", "|p| = {} exceeds s = {}", abs(p), s)
         _expect(
             (who, whom) not in cumulative._cells,
             path,
-            f"duplicate cell key ({who!r}, {whom!r})",
+            "duplicate cell key ({!r}, {!r})", who, whom,
         )
         cumulative._cells[(who, whom)] = Cell(p, s)
 
@@ -254,7 +241,7 @@ def loads(text: str) -> KnowledgeBase:
         _expect(
             (outlet, whom) not in seen_pairs,
             path,
-            f"duplicate history key ({outlet!r}, {whom!r})",
+            "duplicate history key ({!r}, {!r})", outlet, whom,
         )
         seen_pairs.add((outlet, whom))
         raw_scores = raw["scores"]
@@ -267,19 +254,19 @@ def loads(text: str) -> KnowledgeBase:
             _expect(
                 article_id in processed,
                 f"{score_path}.article_id",
-                f"article {article_id!r} is not in the processed registry",
+                "article {!r} is not in the processed registry", article_id,
             )
             _expect(
                 article_id not in seen_articles,
                 f"{score_path}.article_id",
-                f"article {article_id!r} scored twice for the same pair",
+                "article {!r} scored twice for the same pair", article_id,
             )
             seen_articles.add(article_id)
             num = _expect_int(raw_score["num"], f"{score_path}.num")
             den = _expect_int(raw_score["den"], f"{score_path}.den")
             _expect(den >= 1, f"{score_path}.den", "denominator must be at least 1")
-            _expect(abs(num) <= den, score_path, f"score {num}/{den} outside [-1, 1]")
-            _expect(gcd(num, den) == 1, score_path, f"{num}/{den} is not in lowest terms")
+            _expect(abs(num) <= den, score_path, "score {}/{} outside [-1, 1]", num, den)
+            _expect(gcd(num, den) == 1, score_path, "{}/{} is not in lowest terms", num, den)
             history.record(outlet, whom, article_id, Fraction(num, den))
 
     if fingerprint is None:
@@ -294,5 +281,4 @@ def loads(text: str) -> KnowledgeBase:
         history=history,
         processed=processed,
         lexicon_fingerprint=fingerprint,
-        format_version=version,
     )

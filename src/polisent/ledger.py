@@ -74,9 +74,6 @@ class PolarityLedger:
     def whoms(self) -> set[str]:
         return {whom for _, whom in self._cells}
 
-    def copy(self) -> "PolarityLedger":
-        return self.as_scope(self.scope)
-
     def as_scope(self, scope: str) -> "PolarityLedger":
         clone = PolarityLedger(scope)
         clone._cells = dict(self._cells)
@@ -111,13 +108,6 @@ def speaker_score(cell: Cell) -> Score:
     if cell.s == 0:
         return NEUTRAL
     return Fraction(cell.p, cell.s)
-
-
-def classify(cell: Cell) -> str:
-    """positive / neutral / negative from the raw cell."""
-    if cell.s == 0 or cell.p == 0:
-        return "neutral"
-    return "positive" if cell.p > 0 else "negative"
 
 
 def classify_score(score: Score) -> str:

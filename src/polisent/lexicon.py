@@ -10,14 +10,17 @@ The database is loaded from a line-oriented UTF-8 text file with
     [opinions]      # lines "<surface> <+1|-1>"
     [entities]      # lines "<canonical_id> : <alias> , <alias> , ..."
 
-Every surface form is normalized to lowercase.  The five surface
-categories must be pairwise disjoint, and no alias may belong to two
-entities.  A canonical entity id acts as its own implicit alias.
+Every surface form is normalized to lowercase and may be declared only
+once, in one category.  A canonical entity id acts as its own implicit
+alias.  Every alias must be able to match text: each of its words is a
+single word token and none of them is a stopword, since cleansing drops
+stopwords before aliases are resolved.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -26,8 +29,8 @@ from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLin
 
 _SECTIONS = ("stopwords", "negations", "reporting", "opinions", "entities")
 
-# Longest alias window considered when resolving multi-word names.
-MAX_ALIAS_TOKENS = 4
+# One word token.  The tokenizer splits text into these and punctuation.
+WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class OpinionEntry:
 @dataclass(frozen=True)
 class EntityEntry:
     canonical_id: str
-    display_name: str
     aliases: tuple[str, ...] = ()
 
 
@@ -61,10 +63,46 @@ STOPWORD = TokenClass("stopword")
 NEGATION = TokenClass("negation")
 REPORTING_VERB = TokenClass("reporting_verb")
 PLAIN = TokenClass("plain")
+_OPINIONS = {1: TokenClass("opinion", valence=1), -1: TokenClass("opinion", valence=-1)}
+_ENTITY = TokenClass("entity")  # what the loader claims for an entity surface
+_WORD_CLASSES = {"stopwords": STOPWORD, "negations": NEGATION, "reporting": REPORTING_VERB}
+
+
+def _claim(table: dict[str, TokenClass], surface: str, token_class: TokenClass) -> None:
+    """Enter one surface in the table; a second declaration is an error."""
+    previous = table.get(surface)
+    if previous is not None:
+        raise DuplicateSurface(
+            f"{surface!r} already declared as {previous.kind.replace('_', ' ')}"
+        )
+    table[surface] = token_class
+
+
+def _opinion_class(entry: OpinionEntry) -> TokenClass:
+    token_class = _OPINIONS.get(entry.valence)
+    if token_class is None:
+        raise InvalidValence(
+            f"opinion {entry.surface!r} has valence {entry.valence}, expected +1 or -1"
+        )
+    return token_class
+
+
+def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]) -> None:
+    """Reject an entity that shadows the outlet or an alias that cannot match."""
+    if entity.canonical_id == outlet_id:
+        raise DuplicateSurface(
+            f"entity id {entity.canonical_id!r} collides with the outlet id"
+        )
+    for alias in entity.aliases:
+        words = alias.split()
+        if not WORD_RE.fullmatch("".join(words)):
+            raise LexiconError(f"alias {alias!r} contains a non-word character")
+        if not stopwords.isdisjoint(words):
+            raise LexiconError(f"alias {alias!r} contains a stopword")
 
 
 class Lexicon:
-    """Immutable word database with token classification and alias maps."""
+    """Immutable word database: one table from surface to token class."""
 
     def __init__(
         self,
@@ -76,91 +114,49 @@ class Lexicon:
         entities: Iterable[EntityEntry] = (),
     ):
         self.outlet_id = outlet_id.lower()
-        self.opinion_entries = tuple(opinion_entries)
-        self.negation_words = frozenset(negation_words)
+        if not self.outlet_id:
+            raise MalformedLine("outlet id must be non-empty")
+        stopwords, negation_words, reporting_verbs = map(
+            tuple, (stopwords, negation_words, reporting_verbs)
+        )
         self.stopwords = frozenset(stopwords)
+        self.negation_words = frozenset(negation_words)
         self.reporting_verbs = frozenset(reporting_verbs)
+        self.opinion_entries = tuple(opinion_entries)
         self.entities = tuple(entities)
         self._fingerprint: str | None = None
 
-        if not self.outlet_id:
-            raise MalformedLine("outlet id must be non-empty")
-
-        self._opinion_valence: dict[str, int] = {}
-        for entry in self.opinion_entries:
-            if entry.valence not in (-1, 1):
-                raise InvalidValence(
-                    f"opinion {entry.surface!r} has valence {entry.valence}"
-                )
-            self._opinion_valence[entry.surface] = entry.valence
-
-        # Alias windows map token tuples to canonical ids; single-token
-        # windows double as the lookup table for entity classification.
-        self._alias_windows: dict[tuple[str, ...], str] = {}
-        for entity in self.entities:
-            if entity.canonical_id == self.outlet_id:
-                raise DuplicateSurface(
-                    f"entity id {entity.canonical_id!r} collides with the outlet id"
-                )
-            for surface in (entity.canonical_id, *entity.aliases):
-                window = tuple(surface.split())
-                if not window:
-                    raise MalformedLine(
-                        f"entity {entity.canonical_id!r} declares an empty alias"
-                    )
-                if window in self._alias_windows:
-                    raise DuplicateSurface(f"alias {surface!r} declared twice")
-                self._alias_windows[window] = entity.canonical_id
-
-        self.max_alias_window = min(
-            MAX_ALIAS_TOKENS,
-            max((len(w) for w in self._alias_windows), default=1),
-        )
-        self._check_disjoint()
-
-    def _check_disjoint(self) -> None:
-        categories = [
-            ("stopword", self.stopwords),
-            ("negation", self.negation_words),
-            ("reporting verb", self.reporting_verbs),
-            ("opinion", self._opinion_valence.keys()),
-            ("entity surface", {" ".join(w) for w in self._alias_windows}),
-        ]
-        seen: dict[str, str] = {}
-        for label, surfaces in categories:
+        # Multi-word entity surfaces are keyed by their space-joined words.
+        self._classes: dict[str, TokenClass] = {}
+        for surfaces, token_class in (
+            (stopwords, STOPWORD), (negation_words, NEGATION), (reporting_verbs, REPORTING_VERB)
+        ):
             for surface in surfaces:
-                if surface in seen:
-                    raise DuplicateSurface(
-                        f"{surface!r} declared both as {seen[surface]} and as {label}"
-                    )
-                seen[surface] = label
-        if len(self._opinion_valence) != len(self.opinion_entries):
-            raise DuplicateSurface("opinion surface declared twice")
+                _claim(self._classes, surface, token_class)
+        for entry in self.opinion_entries:
+            _claim(self._classes, entry.surface, _opinion_class(entry))
+        self.max_alias_window = 1
+        for entity in self.entities:
+            token_class = TokenClass("entity", entity_id=entity.canonical_id)
+            for surface in (entity.canonical_id, *entity.aliases):
+                words = surface.split()
+                if not words:
+                    raise MalformedLine(f"entity {entity.canonical_id!r} declares an empty alias")
+                _claim(self._classes, " ".join(words), token_class)
+                self.max_alias_window = max(self.max_alias_window, len(words))
+            _check_entity(entity, self.outlet_id, self.stopwords)
 
     def lookup(self, token: str) -> TokenClass:
         """Classify one token.  Unknown tokens are ``plain``.
 
         Total and case-insensitive: the token is lowercased before the
-        category tables are consulted.
+        table is read.
         """
-        token = token.lower()
-        if token in self.stopwords:
-            return STOPWORD
-        if token in self.negation_words:
-            return NEGATION
-        if token in self.reporting_verbs:
-            return REPORTING_VERB
-        valence = self._opinion_valence.get(token)
-        if valence is not None:
-            return TokenClass("opinion", valence=valence)
-        canonical = self._alias_windows.get((token,))
-        if canonical is not None:
-            return TokenClass("entity", entity_id=canonical)
-        return PLAIN
+        return self._classes.get(token.lower(), PLAIN)
 
     def entity_for_window(self, window: tuple[str, ...]) -> str | None:
         """Canonical id for an exact alias window, or None."""
-        return self._alias_windows.get(window)
+        return self._classes.get(" ".join(window), PLAIN).entity_id
 
     def category_counts(self) -> dict[str, int]:
         return {
@@ -204,20 +200,10 @@ class Lexicon:
             self._fingerprint = hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
         return self._fingerprint
 
-    def _key(self):
-        return (
-            self.outlet_id,
-            dict(self._opinion_valence),
-            self.stopwords,
-            self.negation_words,
-            self.reporting_verbs,
-            {e.canonical_id: frozenset(e.aliases) for e in self.entities},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lexicon):
             return NotImplemented
-        return self._key() == other._key()
+        return self.fingerprint() == other.fingerprint()
 
     def __repr__(self) -> str:
         counts = self.category_counts()
@@ -226,7 +212,12 @@ class Lexicon:
 
 
 def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
-    """Parse a lexicon file.  All errors carry the offending line number."""
+    """Parse a lexicon file.  All errors carry the offending line number.
+
+    Surfaces are claimed in file order, so the first fault in the file
+    is the one reported; the :class:`Lexicon` built at the end applies
+    the same rules again and cannot fail.
+    """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
@@ -234,110 +225,86 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
 
     outlet: str | None = None
     section: str | None = None
-    stopwords: list[str] = []
-    negations: list[str] = []
-    reporting: list[str] = []
+    words: dict[str, list[str]] = {name: [] for name in _WORD_CLASSES}
     opinions: list[OpinionEntry] = []
-    entities: list[EntityEntry] = []
-    entity_lines: list[int] = []
-    seen: dict[str, tuple[str, int]] = {}
+    entities: list[tuple[int, EntityEntry]] = []
+    claimed: dict[str, TokenClass] = {}
 
-    def claim(surface: str, category: str, line_no: int) -> None:
-        if surface in seen:
-            prev_category, prev_line = seen[surface]
-            raise DuplicateSurface(
-                f"{surface!r} already declared as {prev_category} on line {prev_line}",
-                line=line_no,
-            )
-        seen[surface] = (category, line_no)
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            header = line.lower()
-            if header.startswith("[outlet]"):
-                value = header[len("[outlet]"):].strip()
-                if len(value.split()) != 1:
-                    raise MalformedLine("expected '[outlet] <id>'", line=line_no)
-                if outlet is not None:
-                    raise MalformedLine("duplicate [outlet] declaration", line=line_no)
-                outlet = value
-                section = None
+    line_no = 0  # after the loop: the last line, which a missing outlet reports
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            name = header.strip("[]")
-            if header == f"[{name}]" and name in _SECTIONS:
+            if line.startswith("["):
+                header = line.lower()
+                if header.startswith("[outlet]"):
+                    value = header[len("[outlet]"):].strip()
+                    if len(value.split()) != 1:
+                        raise MalformedLine("expected '[outlet] <id>'")
+                    if outlet is not None:
+                        raise MalformedLine("duplicate [outlet] declaration")
+                    outlet, section = value, None
+                    continue
+                name = header.strip("[]")
+                if header != f"[{name}]" or name not in _SECTIONS:
+                    raise MalformedLine(f"unknown section header {line!r}")
                 section = name
-                continue
-            raise MalformedLine(f"unknown section header {line!r}", line=line_no)
-        if section is None:
-            raise MalformedLine("content outside any section", line=line_no)
+            elif section is None:
+                raise MalformedLine("content outside any section")
+            elif section in words:
+                parts = line.lower().split()
+                if len(parts) != 1:
+                    raise MalformedLine("expected one token per line")
+                _claim(claimed, parts[0], _WORD_CLASSES[section])
+                words[section].append(parts[0])
+            elif section == "opinions":
+                parts = line.lower().split()
+                if len(parts) != 2:
+                    raise MalformedLine("expected '<surface> <+1|-1>'")
+                surface, valence_text = parts
+                try:
+                    entry = OpinionEntry(surface, int(valence_text))
+                except ValueError:
+                    raise MalformedLine(
+                        f"valence {valence_text!r} is not an integer"
+                    ) from None
+                _claim(claimed, surface, _opinion_class(entry))
+                opinions.append(entry)
+            else:  # entities
+                if line.count(":") > 1:
+                    raise MalformedLine("expected '<id> : <alias> , ...'")
+                head, _, tail = line.lower().partition(":")
+                canonical = head.strip()
+                if len(canonical.split()) != 1:
+                    raise MalformedLine("entity id must be a single token")
+                aliases = []
+                tail = tail.strip()
+                if tail:
+                    for piece in tail.split(","):
+                        alias = " ".join(piece.split())
+                        if not alias:
+                            raise MalformedLine("empty alias")
+                        aliases.append(alias)
+                for surface in (canonical, *aliases):
+                    _claim(claimed, surface, _ENTITY)
+                entities.append((line_no, EntityEntry(canonical, tuple(aliases))))
 
-        if section in ("stopwords", "negations", "reporting"):
-            parts = line.lower().split()
-            if len(parts) != 1:
-                raise MalformedLine("expected one token per line", line=line_no)
-            token = parts[0]
-            label = {"stopwords": "stopword", "negations": "negation",
-                     "reporting": "reporting verb"}[section]
-            claim(token, label, line_no)
-            {"stopwords": stopwords, "negations": negations,
-             "reporting": reporting}[section].append(token)
-        elif section == "opinions":
-            parts = line.lower().split()
-            if len(parts) != 2:
-                raise MalformedLine("expected '<surface> <+1|-1>'", line=line_no)
-            surface, valence_text = parts
-            try:
-                valence = int(valence_text)
-            except ValueError:
-                raise MalformedLine(
-                    f"valence {valence_text!r} is not an integer", line=line_no
-                ) from None
-            if valence not in (-1, 1):
-                raise InvalidValence(
-                    f"valence must be +1 or -1, got {valence}", line=line_no
-                )
-            claim(surface, "opinion", line_no)
-            opinions.append(OpinionEntry(surface, valence))
-        else:  # entities
-            if line.count(":") > 1:
-                raise MalformedLine("expected '<id> : <alias> , ...'", line=line_no)
-            head, _, tail = line.lower().partition(":")
-            canonical = head.strip()
-            if len(canonical.split()) != 1:
-                raise MalformedLine("entity id must be a single token", line=line_no)
-            aliases = []
-            tail = tail.strip()
-            if tail:
-                for piece in tail.split(","):
-                    alias = " ".join(piece.split())
-                    if not alias:
-                        raise MalformedLine("empty alias", line=line_no)
-                    aliases.append(alias)
-            claim(canonical, "entity", line_no)
-            for alias in aliases:
-                claim(alias, "entity alias", line_no)
-            entities.append(EntityEntry(canonical, canonical, tuple(aliases)))
-            entity_lines.append(line_no)
-
-    if outlet is None:
-        raise MalformedLine("missing [outlet] declaration", line=len(lines))
-    for entity, line_no in zip(entities, entity_lines):
-        if entity.canonical_id == outlet:
-            raise DuplicateSurface(
-                f"entity id {entity.canonical_id!r} collides with the outlet id",
-                line=line_no,
-            )
+        if outlet is None:
+            raise MalformedLine("missing [outlet] declaration")
+        stopwords = frozenset(words["stopwords"])
+        for line_no, entity in entities:
+            _check_entity(entity, outlet, stopwords)
+    except LexiconError as exc:
+        raise type(exc)(str(exc), line=line_no) from None
 
     return Lexicon(
         outlet_id=outlet,
         opinion_entries=opinions,
-        negation_words=negations,
-        stopwords=stopwords,
-        reporting_verbs=reporting,
-        entities=entities,
+        negation_words=words["negations"],
+        stopwords=words["stopwords"],
+        reporting_verbs=words["reporting"],
+        entities=[entity for _, entity in entities],
     )
 
 

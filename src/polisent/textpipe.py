@@ -9,7 +9,8 @@ the body.  Processing is a pure function of (body, lexicon):
 Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
 text.  Tokenization separates word runs and punctuation marks; cleansing
 drops stopwords and punctuation; resolution replaces alias windows (up
-to four tokens, longest match wins) with their canonical entity id.
+to the longest declared alias, longest match wins) with their canonical
+entity id.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusError
-from .lexicon import Lexicon
+from .lexicon import WORD_RE, Lexicon
 
 _TERMINATORS = ".!?"
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-_WORD_RE = re.compile(r"\w", re.UNICODE)
+_TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
 _HEADER_RE = re.compile(r"^@article\s+(\S+)\s+@outlet\s+(\S+)\s*$")
 
 
@@ -86,7 +86,7 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     kept = tuple(
         token
         for token in sentence.tokens
-        if _WORD_RE.search(token.normalized)
+        if WORD_RE.search(token.normalized)
         and lexicon.lookup(token.normalized).kind != "stopword"
     )
     return Sentence(index=sentence.index, tokens=kept)
@@ -159,7 +159,10 @@ def read_article(path: str | Path) -> RawArticle:
 def load_corpus(directory: str | Path) -> list[RawArticle]:
     """Read every ``*.txt`` article, ordered by ascending article id.
 
-    Two files with the same article id are a :class:`CorpusError`.
+    Ids compare as strings, so ``"10"`` comes before ``"2"``; zero-pad
+    numeric ids to train them in numeric order.  The order decides the
+    sarcasm flags and the score history, so existing corpora train as
+    before.  Two files with the same article id are a :class:`CorpusError`.
     """
     directory = Path(directory)
     if not directory.is_dir():

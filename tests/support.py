@@ -32,7 +32,7 @@ MINI_LEXICON = Lexicon(
     negation_words=["not", "never"],
     stopwords=["the", "a", "is"],
     reporting_verbs=["said", "stated"],
-    entities=[EntityEntry(f"e{i}", f"e{i}") for i in range(1, 5)],
+    entities=[EntityEntry(f"e{i}") for i in range(1, 5)],
 )
 
 _PLAIN = ["alpha", "beta", "gamma", "delta", "omega"]

@@ -106,6 +106,16 @@ def test_train_mismatched_lexicon(capsys, tmp_path, trained_kb_path):
     assert "different lexicon" in err
 
 
+def test_analyze_mismatched_lexicon(capsys, tmp_path, trained_kb_path):
+    other = tmp_path / "other.txt"
+    other.write_text("[outlet] k\n[opinions]\nbaik +1\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(FIXTURES / "corpus" / "2.txt"),
+                         "--lexicon", str(other), "--kb", trained_kb_path)
+    assert code == 2
+    assert out == ""
+    assert "different lexicon" in err
+
+
 def test_analyze_with_trace(capsys, trained_kb_path, tmp_path, golden_trace2):
     # Score the second demo article against a kb trained on the first only.
     kb_path = str(tmp_path / "first.kb.json")

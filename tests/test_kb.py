@@ -117,9 +117,6 @@ def test_roundtrip_random():
 
 def test_save_is_byte_deterministic(trained_kb):
     assert kbmod.dumps(trained_kb) == kbmod.dumps(trained_kb)
-    sink = io.StringIO()
-    kbmod.save(trained_kb, sink)
-    assert sink.getvalue() == kbmod.dumps(trained_kb)
 
 
 def test_cumulative_cells_order_independent(lexicon, corpus):

@@ -14,7 +14,6 @@ from polisent import (
     StatementRecord,
     analyze_article,
     article_score,
-    classify,
     classify_score,
     format_matrix,
     merge,
@@ -49,7 +48,7 @@ def test_apply_single_record():
 def test_apply_cancellation_is_neutral():
     ledger = apply_all([record("a", "b", 1), record("a", "b", -1)])
     assert ledger.cell("a", "b") == Cell(0, 2)
-    assert classify(ledger.cell("a", "b")) == "neutral"
+    assert classify_score(speaker_score(ledger.cell("a", "b"))) == "neutral"
 
 
 def test_apply_rejects_bad_value():
@@ -77,10 +76,10 @@ def test_speaker_score_examples():
 
 
 def test_classify_examples():
-    assert classify(Cell(1, 1)) == "positive"
-    assert classify(Cell(0, 4)) == "neutral"
-    assert classify(Cell(-7, 7)) == "negative"
-    assert classify(Cell(0, 0)) == "neutral"
+    assert classify_score(speaker_score(Cell(1, 1))) == "positive"
+    assert classify_score(speaker_score(Cell(0, 4))) == "neutral"
+    assert classify_score(speaker_score(Cell(-7, 7))) == "negative"
+    assert classify_score(speaker_score(Cell(0, 0))) == "neutral"
 
 
 def test_classify_matches_score_sign():
@@ -88,9 +87,8 @@ def test_classify_matches_score_sign():
     for _ in range(200):
         s = rng.randint(1, 30)
         p = rng.randint(-s, s)
-        cell = Cell(p, s)
-        score = speaker_score(cell)
-        assert classify(cell) == classify_score(score)
+        expected = "positive" if p > 0 else "negative" if p < 0 else "neutral"
+        assert classify_score(speaker_score(Cell(p, s))) == expected
 
 
 def test_article_score_article1(article1_ledger):

@@ -7,6 +7,7 @@ from polisent import (
     EntityEntry,
     InvalidValence,
     Lexicon,
+    LexiconError,
     MalformedLine,
     OpinionEntry,
     load_lexicon,
@@ -71,6 +72,24 @@ def test_alias_in_two_entries():
         loads("[outlet] k\n[entities]\na : si anu\nb : si anu\n")
 
 
+def test_alias_containing_stopword_rejected():
+    # Cleansing drops "si" before resolution, so "si anu" could never match.
+    with pytest.raises(LexiconError) as err:
+        loads("[outlet] k\n[entities]\nb : si anu\n[stopwords]\nsi\n")
+    assert err.value.line == 3
+    assert "'si anu'" in str(err.value)
+
+
+def test_alias_containing_non_word_character_rejected():
+    with pytest.raises(LexiconError) as err:
+        loads("[outlet] k\n[entities]\nc : x.y\n")
+    assert err.value.line == 3
+    assert "'x.y'" in str(err.value)
+    with pytest.raises(LexiconError) as err:
+        Lexicon("k", entities=[EntityEntry("c", ("x.y",))])
+    assert err.value.line is None
+
+
 def test_entity_id_collides_with_outlet():
     with pytest.raises(DuplicateSurface):
         loads("[outlet] k\n[entities]\nk : media\n")
@@ -127,11 +146,6 @@ def test_entity_line_without_aliases():
     assert lex.lookup("ahmad").entity_id == "ahmad"
 
 
-def test_display_name_defaults_to_id(lexicon):
-    for entity in lexicon.entities:
-        assert entity.display_name == entity.canonical_id
-
-
 def test_disjointness_exhaustive(lexicon):
     surfaces = (
         list(lexicon.stopwords)
@@ -184,4 +198,4 @@ def test_programmatic_validation():
     with pytest.raises(InvalidValence):
         Lexicon("k", opinion_entries=[OpinionEntry("x", 0)])
     with pytest.raises(DuplicateSurface):
-        Lexicon("k", entities=[EntityEntry("k", "k")])
+        Lexicon("k", entities=[EntityEntry("k")])

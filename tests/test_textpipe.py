@@ -7,6 +7,7 @@ from polisent import (
     EntityEntry,
     Lexicon,
     cleanse,
+    load_lexicon,
     parse_article,
     process,
     resolve,
@@ -110,10 +111,16 @@ def test_resolve_without_aliases_identity(lexicon):
 def test_resolve_longest_match_wins():
     lex = Lexicon(
         "out",
-        entities=[EntityEntry("x", "x", ("a b",)), EntityEntry("y", "y", ("a",))],
+        entities=[EntityEntry("x", ("a b",)), EntityEntry("y", ("a",))],
     )
     resolved = resolve(tokenize("a b a", 1), lex)
     assert norms(resolved) == ["x", "y"]
+
+
+def test_resolve_alias_longer_than_four_tokens():
+    lex = load_lexicon(["[outlet] k", "[entities]", "a : satu dua tiga empat lima"])
+    resolved = resolve(tokenize("kata satu dua tiga empat lima", 1), lex)
+    assert norms(resolved) == ["kata", "a"]
 
 
 def test_cleanse_and_resolve_idempotent(lexicon, article1):
@@ -152,10 +159,12 @@ def test_parse_article_rejects_bad_header(text):
 def test_load_corpus_sorted_by_article_id(tmp_path):
     (tmp_path / "zz.txt").write_text("@article 1 @outlet k\nIsi.", encoding="utf-8")
     (tmp_path / "aa.txt").write_text("@article 2 @outlet k\nIsi.", encoding="utf-8")
+    (tmp_path / "mm.txt").write_text("@article 10 @outlet k\nIsi.", encoding="utf-8")
     from polisent import load_corpus
 
+    # String order, not numeric: "10" comes before "2".
     ids = [a.article_id for a in load_corpus(tmp_path)]
-    assert ids == ["1", "2"]
+    assert ids == ["1", "10", "2"]
 
 
 def test_load_corpus_rejects_missing_dir(tmp_path):
