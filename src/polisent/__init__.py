@@ -47,7 +47,6 @@ from .lexicon import (
 from .textpipe import (
     RawArticle,
     Sentence,
-    Token,
     cleanse,
     load_corpus,
     parse_article,
@@ -86,7 +85,6 @@ __all__ = [
     "ScopeMismatch",
     "Sentence",
     "StatementRecord",
-    "Token",
     "TokenClass",
     "VersionMismatch",
     "analyze_article",

@@ -66,20 +66,16 @@ def analyze_article(
     current_whom: str | None = None
     for sentence in textpipe.process(article.body, lexicon):
         current_who = article.outlet_id
-        classes = [lexicon.lookup(token.normalized) for token in sentence.tokens]
-        negation_count = sum(1 for c in classes if c.kind == "negation")
-        reporting_at = {i for i, c in enumerate(classes) if c.kind == "reporting_verb"}
+        classes = [token.token_class for token in sentence.tokens]
+        kinds = [token_class.kind for token_class in classes]
+        negation_count = kinds.count("negation")
         for i, token_class in enumerate(classes):
-            if token_class.kind == "entity":
-                speaks = any(
-                    i + offset in reporting_at
-                    for offset in range(1, SPEAKER_DISTANCE + 1)
-                )
-                if speaks:
+            if kinds[i] == "entity":
+                if "reporting_verb" in kinds[i + 1:i + 1 + SPEAKER_DISTANCE]:
                     current_who = token_class.entity_id
                 else:
                     current_whom = token_class.entity_id
-            elif token_class.kind == "opinion" and current_whom is not None:
+            elif kinds[i] == "opinion" and current_whom is not None:
                 value = token_class.valence
                 if negation_count % 2 == 1:
                     value = -value

@@ -158,7 +158,8 @@ class ArticleScoreHistory:
         self._outlets: dict[str, set[str]] = {}
 
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
-        score = Fraction(score)
+        if type(score) is not Fraction:  # kb.loads passes a built Fraction
+            score = Fraction(score)
         if not -1 <= score <= 1:
             raise ValueError(f"article score {score} outside [-1, 1]")
         entries = self._scores.get((outlet, whom))

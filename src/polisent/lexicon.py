@@ -66,6 +66,8 @@ PLAIN = TokenClass("plain")
 _OPINIONS = {1: TokenClass("opinion", valence=1), -1: TokenClass("opinion", valence=-1)}
 _ENTITY = TokenClass("entity")  # what the loader claims for an entity surface
 _WORD_CLASSES = {"stopwords": STOPWORD, "negations": NEGATION, "reporting": REPORTING_VERB}
+# Key of the match in a node of ``Lexicon.alias_trie``; no word is empty.
+ALIAS_MATCH = ""
 
 
 def _claim(table: dict[str, TokenClass], surface: str, token_class: TokenClass) -> None:
@@ -102,7 +104,7 @@ def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]
 
 
 class Lexicon:
-    """Immutable word database: one table from surface to token class."""
+    """Immutable word database: a surface-to-class table and an alias trie."""
 
     def __init__(
         self,
@@ -135,7 +137,6 @@ class Lexicon:
                 _claim(self._classes, surface, token_class)
         for entry in self.opinion_entries:
             _claim(self._classes, entry.surface, _opinion_class(entry))
-        self.max_alias_window = 1
         for entity in self.entities:
             token_class = TokenClass("entity", entity_id=entity.canonical_id)
             for surface in (entity.canonical_id, *entity.aliases):
@@ -143,8 +144,21 @@ class Lexicon:
                 if not words:
                     raise MalformedLine(f"entity {entity.canonical_id!r} declares an empty alias")
                 _claim(self._classes, " ".join(words), token_class)
-                self.max_alias_window = max(self.max_alias_window, len(words))
             _check_entity(entity, self.outlet_id, self.stopwords)
+
+        # Token trie of the entity surfaces: a node maps the next word to
+        # its child, and ALIAS_MATCH to the (word, class) pair that replaces
+        # the words so far.  The class is what looking up the canonical id
+        # gives, so it is read once the table is complete.
+        self.alias_trie: dict[str, dict] = {}
+        for entity in self.entities:
+            canonical = entity.canonical_id
+            replacement = (canonical, self._classes.get(canonical.lower(), PLAIN))
+            for surface in (canonical, *entity.aliases):
+                node = self.alias_trie
+                for word in surface.split():
+                    node = node.setdefault(word, {})
+                node[ALIAS_MATCH] = replacement
 
     def lookup(self, token: str) -> TokenClass:
         """Classify one token.  Unknown tokens are ``plain``.
@@ -153,10 +167,6 @@ class Lexicon:
         table is read.
         """
         return self._classes.get(token.lower(), PLAIN)
-
-    def entity_for_window(self, window: tuple[str, ...]) -> str | None:
-        """Canonical id for an exact alias window, or None."""
-        return self._classes.get(" ".join(window), PLAIN).entity_id
 
     def category_counts(self) -> dict[str, int]:
         return {

@@ -7,10 +7,13 @@ the body.  Processing is a pure function of (body, lexicon):
     segment -> tokenize -> cleanse -> resolve
 
 Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
-text.  Tokenization separates word runs and punctuation marks; cleansing
-drops stopwords and punctuation; resolution replaces alias windows (up
-to the longest declared alias, longest match wins) with their canonical
-entity id.
+text.  Tokenization splits a sentence into word runs and punctuation
+marks and lowercases each token on its own.  Cleansing drops punctuation
+and stopwords and classifies every word, once, through
+:meth:`Lexicon.lookup`; the kept words travel on as :class:`Token`
+pairs of word and class.  Resolution walks the lexicon's token trie of
+entity surfaces and replaces each alias (longest match wins) with one
+token holding its canonical entity id.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorpusError
-from .lexicon import WORD_RE, Lexicon
+from .lexicon import ALIAS_MATCH, STOPWORD, WORD_RE, Lexicon, TokenClass
 
-_TERMINATORS = ".!?"
+# A terminator followed by whitespace: the zero-width split point.
+_SENTENCE_END_RE = re.compile(r"(?<=[.!?])(?=\s)")
 _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
 _HEADER_RE = re.compile(r"^@article\s+(\S+)\s+@outlet\s+(\S+)\s*$")
 
@@ -34,18 +39,27 @@ class RawArticle:
     body: str
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
+class Token(NamedTuple):
+    """A kept word and its class."""
+
     normalized: str
-    sentence_index: int
-    position: int
+    token_class: TokenClass
+
+
+# Builds a Token without the Python-level ``__new__`` of a NamedTuple.
+_new_token = tuple.__new__
 
 
 @dataclass(frozen=True)
 class Sentence:
+    """One sentence's tokens.
+
+    :func:`tokenize` gives lowercase strings, words and punctuation marks;
+    :func:`cleanse` and :func:`resolve` give :class:`Token` pairs.
+    """
+
     index: int
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...] | tuple[Token, ...]
 
 
 def segment(body: str) -> list[str]:
@@ -55,73 +69,65 @@ def segment(body: str) -> list[str]:
     index.  Whitespace-only fragments are dropped; every non-whitespace
     character of the body lands in exactly one sentence.
     """
-    sentences: list[str] = []
-    buffer: list[str] = []
-    for i, char in enumerate(body):
-        buffer.append(char)
-        at_end = i + 1 == len(body)
-        if char in _TERMINATORS and (at_end or body[i + 1].isspace()):
-            text = "".join(buffer).strip()
-            if text:
-                sentences.append(text)
-            buffer = []
-    tail = "".join(buffer).strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    return [text for piece in _SENTENCE_END_RE.split(body) if (text := piece.strip())]
 
 
 def tokenize(sentence_text: str, index: int) -> Sentence:
-    """Split one sentence into word and punctuation tokens."""
-    tokens = tuple(
-        Token(surface=match, normalized=match.lower(), sentence_index=index,
-              position=position)
-        for position, match in enumerate(_TOKEN_RE.findall(sentence_text))
-    )
-    return Sentence(index=index, tokens=tokens)
+    """Split one sentence into lowercase word and punctuation tokens.
+
+    Each token is lowercased on its own: lowercasing can add a character
+    that is not a word character (``"İ"`` becomes ``"i"`` plus a combining
+    dot), which must not split the word.
+    """
+    return Sentence(index, tuple(map(str.lower, _TOKEN_RE.findall(sentence_text))))
 
 
 def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
-    """Drop stopwords and punctuation tokens, keeping order."""
-    kept = tuple(
-        token
-        for token in sentence.tokens
-        if WORD_RE.search(token.normalized)
-        and lexicon.lookup(token.normalized).kind != "stopword"
-    )
-    return Sentence(index=sentence.index, tokens=kept)
+    """Drop stopwords and punctuation tokens, keeping order.
+
+    Expects a tokenized sentence.  Every word is looked up once, and the
+    kept words carry their class.
+    """
+    lookup = lexicon.lookup
+    is_word = WORD_RE.search  # after isalnum(), which settles most words
+    kept = [
+        _new_token(Token, (word, token_class))
+        for word in sentence.tokens
+        if (word.isalnum() or is_word(word)) and (token_class := lookup(word)) is not STOPWORD
+    ]
+    return Sentence(sentence.index, tuple(kept))
 
 
 def resolve(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     """Replace alias windows with single canonical-id tokens.
 
-    Expects a cleansed sentence.  At each position the longest matching
-    window wins; a replacement token inherits the position of the first
-    token it covers.
+    Expects a cleansed sentence.  At each position the longest alias that
+    the following words spell wins.  Tokens no alias covers are kept as
+    the same objects.
     """
+    trie = lexicon.alias_trie
     tokens = sentence.tokens
     out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        matched = None
-        longest = min(lexicon.max_alias_window, len(tokens) - i)
-        for size in range(longest, 0, -1):
-            window = tuple(t.normalized for t in tokens[i:i + size])
-            canonical = lexicon.entity_for_window(window)
-            if canonical is not None:
-                matched = (size, canonical)
-                break
-        if matched is None:
-            out.append(tokens[i])
-            i += 1
+    i, n = 0, len(tokens)
+    while i < n:
+        token = tokens[i]
+        i += 1
+        node = trie.get(token.normalized)
+        if node is None:
+            out.append(token)
+            continue
+        match, end = node.get(ALIAS_MATCH), i
+        j = i
+        while j < n and (node := node.get(tokens[j].normalized)) is not None:
+            j += 1
+            if ALIAS_MATCH in node:
+                match, end = node[ALIAS_MATCH], j
+        if match is None:
+            out.append(token)
         else:
-            size, canonical = matched
-            first = tokens[i]
-            out.append(Token(surface=canonical, normalized=canonical,
-                             sentence_index=first.sentence_index,
-                             position=first.position))
-            i += size
-    return Sentence(index=sentence.index, tokens=tuple(out))
+            out.append(Token(*match))
+            i = end
+    return Sentence(sentence.index, tuple(out))
 
 
 def process(body: str, lexicon: Lexicon) -> list[Sentence]:

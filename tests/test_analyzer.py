@@ -4,12 +4,16 @@ import pytest
 
 from polisent import (
     CUMULATIVE,
+    Lexicon,
     PolarityLedger,
     RawArticle,
     StatementRecord,
     analyze_article,
+    segment,
+    tokenize,
     trace,
 )
+from polisent.lexicon import WORD_RE
 from support import MINI_LEXICON, random_article, random_prior
 
 
@@ -187,3 +191,22 @@ def test_trace_empty_is_header_only():
 def test_trace_renders_outlet_as_zero():
     record = StatementRecord("a", 3, "out", "e1", -1)
     assert trace([record], "out").splitlines()[1] == "a\t3\t0\te1\t-1"
+
+
+def test_each_word_looked_up_once(lexicon, article1, monkeypatch):
+    looked_up = []
+    lookup = Lexicon.lookup
+
+    def counted(self, token):
+        looked_up.append(token)
+        return lookup(self, token)
+
+    monkeypatch.setattr(Lexicon, "lookup", counted)
+    analyze_article(article1, lexicon)
+    words = [
+        token
+        for text in segment(article1.body)
+        for token in tokenize(text, 1).tokens
+        if WORD_RE.search(token)
+    ]
+    assert looked_up == words

@@ -163,6 +163,21 @@ def test_history_rejects_out_of_range():
         history.record("k", "x", "1", Fraction(3, 2))
 
 
+def test_history_record_keeps_fractions_and_converts_other_types():
+    history = ArticleScoreHistory()
+    half = Fraction(1, 2)
+    history.record("k", "x", "1", half)
+    history.record("k", "x", "2", -1)
+    history.record("k", "x", "3", "1/3")
+    (_, first), (_, second), (_, third) = history.entries("k", "x")
+    assert first is half
+    assert type(second) is Fraction and second == -1
+    assert type(third) is Fraction and third == Fraction(1, 3)
+    with pytest.raises(ValueError):
+        history.record("k", "x", "4", 2)
+    assert len(history.entries("k", "x")) == 3
+
+
 def test_merge_identity_and_commutativity():
     rng = random.Random(9)
     empty = PolarityLedger(ARTICLE)

@@ -10,12 +10,19 @@ from polisent import (
     LexiconError,
     MalformedLine,
     OpinionEntry,
+    cleanse,
     load_lexicon,
+    resolve,
+    tokenize,
 )
 
 
 def loads(text):
     return load_lexicon(io.StringIO(text))
+
+
+def resolved(lexicon, text):
+    return [t.normalized for t in resolve(cleanse(tokenize(text, 1), lexicon), lexicon).tokens]
 
 
 def test_fixture_lookup_koruptor(lexicon):
@@ -37,9 +44,10 @@ def test_fixture_lookup_examples(lexicon):
 
 def test_alias_maps_to_owner(lexicon):
     assert lexicon.lookup("mallarangeng").kind == "plain"  # only full alias matches
-    assert lexicon.entity_for_window(("andi", "mallarangeng")) == "andi"
-    assert lexicon.entity_for_window(("lembaga", "antikorupsi")) == "kpk"
-    assert lexicon.entity_for_window(("nope",)) is None
+    assert resolved(lexicon, "andi mallarangeng") == ["andi"]
+    assert resolved(lexicon, "lembaga antikorupsi") == ["kpk"]
+    assert resolved(lexicon, "mallarangeng andi") == ["mallarangeng", "andi"]
+    assert resolved(lexicon, "nope") == ["nope"]
 
 
 def test_lookup_is_case_insensitive(lexicon):
@@ -137,7 +145,7 @@ def test_surfaces_normalized_lowercase():
     lex = loads("[outlet] K\n[opinions]\nBaik +1\n[entities]\nAndi : Pak Andi\n")
     assert lex.outlet_id == "k"
     assert lex.lookup("baik").valence == 1
-    assert lex.entity_for_window(("pak", "andi")) == "andi"
+    assert resolved(lex, "Pak Andi") == ["andi"]
 
 
 def test_entity_line_without_aliases():
@@ -165,7 +173,7 @@ def test_disjointness_exhaustive(lexicon):
                 surface in lexicon.negation_words,
                 surface in lexicon.reporting_verbs,
                 any(surface == e.surface for e in lexicon.opinion_entries),
-                lexicon.entity_for_window((surface,)) is not None,
+                lexicon.lookup(surface).entity_id is not None,
             ]
         )
         assert claimed == 1, f"{surface} claimed by {claimed} categories"

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import lexicon_oracle as oracle
 from conftest import FIXTURES
-from polisent import DuplicateSurface, LexiconError, load_lexicon
+from polisent import DuplicateSurface, LexiconError, Sentence, load_lexicon, resolve
+from polisent.textpipe import Token
 
 # Few words, so that declarations collide often.
 WORDS = ("k", "m", "Andi", "andi", "si", "anu", "baik", "BURUK", "tidak", "kata", "satu",
@@ -92,6 +93,15 @@ def classes(lexicon, tokens):
     return [(c.kind, c.valence, c.entity_id) for c in map(lexicon.lookup, tokens)]
 
 
+def window_entity(lexicon, window):
+    """The canonical id that ``resolve`` puts in place of the whole window, or None."""
+    given = tuple(Token(w, lexicon.lookup(w)) for w in window)
+    tokens = resolve(Sentence(1, given), lexicon).tokens
+    if len(tokens) == 1 and tokens[0] is not given[0]:
+        return tokens[0].normalized
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=lexicon_texts())
 @example(text=(FIXTURES / "lexicon.txt").read_text(encoding="utf-8"))
@@ -120,8 +130,6 @@ def test_load_matches_oracle(text):
 
     assert new.dumps() == old.dumps()
     assert new.fingerprint() == old.fingerprint()
-    assert min(new.max_alias_window, oracle.MAX_ALIAS_TOKENS) == old.max_alias_window
-
     surfaces = [
         *old.stopwords, *old.negation_words, *old.reporting_verbs,
         *(e.surface for e in old.opinion_entries),
@@ -134,4 +142,4 @@ def test_load_matches_oracle(text):
     windows = {tuple(s.split()) for s in surfaces} | {("andi", "anu"), ("zzz",)}
     windows |= {(a, b) for a in tokens[:8] for b in tokens[:8]}
     for window in windows:
-        assert new.entity_for_window(window) == old.entity_for_window(window)
+        assert window_entity(new, window) == old.entity_for_window(window)

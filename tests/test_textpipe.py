@@ -6,6 +6,7 @@ from polisent import (
     CorpusError,
     EntityEntry,
     Lexicon,
+    Sentence,
     cleanse,
     load_lexicon,
     parse_article,
@@ -17,7 +18,12 @@ from polisent import (
 
 
 def norms(sentence):
-    return [t.normalized for t in sentence.tokens]
+    """The words: tokenize gives strings, cleanse and resolve give Tokens."""
+    return [t if isinstance(t, str) else t.normalized for t in sentence.tokens]
+
+
+def cleansed(text, lexicon):
+    return cleanse(tokenize(text, 1), lexicon)
 
 
 def test_segment_two_terminators():
@@ -71,10 +77,10 @@ def test_tokenize_whitespace_only():
 
 
 def test_tokenize_positions_and_index():
-    sentence = tokenize("Satu dua, tiga.", 4)
-    assert [t.position for t in sentence.tokens] == [0, 1, 2, 3, 4]
-    assert all(t.sentence_index == 4 for t in sentence.tokens)
-    assert all(t.normalized == t.surface.lower() for t in sentence.tokens)
+    assert tokenize("Satu dua, tiga.", 4) == Sentence(4, ("satu", "dua", ",", "tiga", "."))
+    # Each token is lowercased on its own: the combining dot that "İ"
+    # lowercases to is not a word character, yet stays in the word.
+    assert tokenize("İstanbul!", 1).tokens == ("i\u0307stanbul", "!")
 
 
 def test_cleanse_removes_stopwords(lexicon):
@@ -88,7 +94,9 @@ def test_cleanse_only_stopwords(lexicon):
 
 def test_cleanse_no_stopwords_identity(lexicon):
     sentence = tokenize("kpk hebat", 1)
-    assert cleanse(sentence, lexicon) == sentence
+    kept = cleanse(sentence, lexicon)
+    assert norms(kept) == norms(sentence)
+    assert [t.token_class for t in kept.tokens] == [lexicon.lookup(w) for w in sentence.tokens]
 
 
 def test_cleanse_drops_punctuation(lexicon):
@@ -96,15 +104,15 @@ def test_cleanse_drops_punctuation(lexicon):
 
 
 def test_resolve_multiword_alias(lexicon):
-    sentence = cleanse(tokenize("lembaga antikorupsi bekerja", 1), lexicon)
+    sentence = cleansed("lembaga antikorupsi bekerja", lexicon)
     resolved = resolve(sentence, lexicon)
     assert norms(resolved) == ["kpk", "bekerja"]
-    assert resolved.tokens[0].position == 0
-    assert resolved.tokens[1].position == 2
+    assert resolved.tokens[0].token_class == lexicon.lookup("kpk")
+    assert resolved.tokens[1] is sentence.tokens[2]
 
 
 def test_resolve_without_aliases_identity(lexicon):
-    sentence = cleanse(tokenize("proses hukum berjalan", 1), lexicon)
+    sentence = cleansed("proses hukum berjalan", lexicon)
     assert resolve(sentence, lexicon) == sentence
 
 
@@ -113,20 +121,20 @@ def test_resolve_longest_match_wins():
         "out",
         entities=[EntityEntry("x", ("a b",)), EntityEntry("y", ("a",))],
     )
-    resolved = resolve(tokenize("a b a", 1), lex)
+    resolved = resolve(cleansed("a b a", lex), lex)
     assert norms(resolved) == ["x", "y"]
 
 
 def test_resolve_alias_longer_than_four_tokens():
     lex = load_lexicon(["[outlet] k", "[entities]", "a : satu dua tiga empat lima"])
-    resolved = resolve(tokenize("kata satu dua tiga empat lima", 1), lex)
+    resolved = resolve(cleansed("kata satu dua tiga empat lima", lex), lex)
     assert norms(resolved) == ["kata", "a"]
 
 
 def test_cleanse_and_resolve_idempotent(lexicon, article1):
     for sentence in (tokenize(text, i) for i, text in enumerate(segment(article1.body), 1)):
         once = cleanse(sentence, lexicon)
-        assert cleanse(once, lexicon) == once
+        assert cleanse(Sentence(once.index, tuple(norms(once))), lexicon) == once
         resolved = resolve(once, lexicon)
         assert resolve(resolved, lexicon) == resolved
 

@@ -1,0 +1,184 @@
+"""The single-pass text pipeline and extractor agree with the frozen originals.
+
+Random bodies mix lexicon words in random case, non-ASCII words (``İ``
+lowercases to two code points, the second not a word character), runs of
+punctuation, terminators with and without whitespace after them, and
+ASCII and non-ASCII whitespace.  The lexicons declare nested and
+overlapping multi-word aliases, an id with a non-word character whose
+aliases still match, punctuation declared as a stopword and an opinion,
+and (built directly, not loaded) canonical ids that are not lowercase.
+Per body the library must give the oracle's sentences, tokens, kept and
+resolved words with their classes, alias hits and statement records.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import textpipe_oracle as oracle
+from polisent import (
+    CUMULATIVE,
+    EntityEntry,
+    Lexicon,
+    OpinionEntry,
+    PolarityLedger,
+    RawArticle,
+    StatementRecord,
+    analyze_article,
+    cleanse,
+    load_lexicon,
+    process,
+    resolve,
+    segment,
+    tokenize,
+)
+
+LOADED = load_lexicon("""\
+[outlet] k
+[stopwords]
+si
+yang
+,
+[negations]
+tidak
+bukan
+[reporting]
+berkata
+kata
+[opinions]
+baik +1
+buruk -1
+İyi +1
+korup -1
+! +1
+[entities]
+andi : pak andi , andi mallarangeng , pak andi mallarangeng
+kpk : lembaga antikorupsi , komisi pemberantasan korupsi , komisi
+ani : bu ani , bu ani yudhoyono
+majelis : majelis hakim agung
+hakim : hakim agung , agung
+p : a b c , q r
+s : b c d , a b
+x.y : foo , foo bar
+ünal : ısmail ünal , çelik
+""".splitlines())
+
+# Canonical ids the loader would have lowercased: a replaced alias reads
+# as whatever its canonical id reads as.
+DIRECT = Lexicon(
+    "k",
+    opinion_entries=[OpinionEntry("baik", 1), OpinionEntry("buruk", -1)],
+    negation_words=["tidak"],
+    stopwords=["si"],
+    reporting_verbs=["berkata"],
+    entities=[
+        EntityEntry("ANDI", ("andi", "pak andi")),
+        EntityEntry("SI", ("foo",)),
+        EntityEntry("hakim  agung", ("agung",)),
+        EntityEntry("kpk", ("komisi", "komisi pemberantasan korupsi")),
+    ],
+)
+
+WORDS = (
+    "si", "yang", "tidak", "bukan", "berkata", "kata", "baik", "buruk", "korup",
+    "andi", "pak", "mallarangeng", "kpk", "lembaga", "antikorupsi", "komisi",
+    "pemberantasan", "korupsi", "ani", "bu", "yudhoyono", "majelis", "hakim", "agung",
+    "a", "b", "c", "d", "p", "q", "r", "s", "x", "y", "foo", "bar", "ünal", "ısmail",
+    "çelik", "iyi", "İyi", "İYİ", "İstanbul", "ÇOK", "rakyat", "proses", "k", "_", "x_1",
+    "2024", "½",
+)
+PUNCTUATION = (".", "!", "?", ",", "...", "?!", "!!", "—", "«", "»", "-", ":", ".,", "̇")
+SPACES = ("", " ", " ", " ", "  ", "\n", "\t", " ", "\x1c", " ", "　", " . ")
+
+word = st.sampled_from(WORDS).flatmap(
+    lambda w: st.sampled_from((w, w, w.upper(), w.capitalize()))
+)
+# Speakers before a reporting verb, targets before an opinion, negations.
+PHRASES = ("pak andi berkata", "andi si berkata", "foo bar kata", "komisi yang berkata",
+           "bu ani yudhoyono kata", "agung berkata", "kpk baik", "pak andi tidak korup",
+           "ısmail ünal buruk", "x.y baik", "tidak", "İyi")
+phrase = st.sampled_from(PHRASES)
+fragment = st.one_of(word, word, word, word, phrase, phrase, st.sampled_from(PUNCTUATION))
+space = st.sampled_from((" ",) * 12 + SPACES)
+sentence = st.tuples(
+    st.lists(st.tuples(fragment, space), min_size=1, max_size=14),
+    st.sampled_from((". ", "! ", "? ", ".\n", "?!  ", ".", "", "... ", ".\x1c")),
+)
+bodies = st.lists(sentence, max_size=6).map(
+    lambda sentences: "".join("".join(f + s for f, s in words) + end for words, end in sentences)
+)
+IDS = ("andi", "kpk", "ani", "hakim", "majelis", "p", "s", "x.y", "ünal", "ANDI", "SI")
+priors = st.lists(
+    st.tuples(st.sampled_from(("k",) * 4 + IDS), st.sampled_from(IDS), st.sampled_from((-1, 1))),
+    max_size=30,
+)
+
+
+def prior_ledger(triples) -> PolarityLedger | None:
+    if not triples:
+        return None
+    ledger = PolarityLedger(CUMULATIVE)
+    for i, (who, whom, value) in enumerate(triples):
+        ledger.apply(StatementRecord("p", i + 1, who, whom, value))
+    return ledger
+
+
+def alias_hits(given, resolved) -> int:
+    ids = {id(token) for token in given.tokens}
+    return sum(1 for token in resolved.tokens if id(token) not in ids)
+
+
+def check_stages(body, lexicon):
+    texts = segment(body)
+    assert texts == oracle.segment(body)
+    for index, text in enumerate(texts, start=1):
+        old = oracle.tokenize(text, index)
+        new = tokenize(text, index)
+        assert new.index == index
+        assert list(new.tokens) == [t.normalized for t in old.tokens]
+
+        old_kept, new_kept = oracle.cleanse(old, lexicon), cleanse(new, lexicon)
+        assert [t.normalized for t in new_kept.tokens] == [t.normalized for t in old_kept.tokens]
+        old_resolved, new_resolved = oracle.resolve(old_kept, lexicon), resolve(new_kept, lexicon)
+        assert alias_hits(new_kept, new_resolved) == alias_hits(old_kept, old_resolved)
+        # The class each token carries is what the old extractor looked up.
+        assert [(t.normalized, t.token_class) for t in new_resolved.tokens] == [
+            (t.normalized, lexicon.lookup(t.normalized)) for t in old_resolved.tokens
+        ]
+
+
+def check_article(body, lexicon, triples):
+    new = process(body, lexicon)
+    old = oracle.process(body, lexicon)
+    assert [s.index for s in new] == [s.index for s in old]
+    assert [[(t.normalized, t.token_class.entity_id) for t in s.tokens] for s in new] == [
+        [(t.normalized, lexicon.lookup(t.normalized).entity_id) for t in s.tokens] for s in old
+    ]
+    article = RawArticle("a1", lexicon.outlet_id, body)
+    prior = prior_ledger(triples)
+    assert analyze_article(article, lexicon, prior) == oracle.analyze_article(
+        article, lexicon, prior
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=bodies, lexicon=st.sampled_from((LOADED, DIRECT)), triples=priors)
+@example(body="İyi! İSTANBUL İyi.x. Andi berkata kpk baik.", lexicon=LOADED, triples=[])
+@example(body="pak si andi mallarangeng tidak korup. bu yang ani yudhoyono baik!",
+         lexicon=LOADED, triples=[("k", "andi", -1)])
+@example(body="a b c d. b c d a b c. majelis hakim agung agung hakim!",
+         lexicon=LOADED, triples=[])
+@example(body="foo berkata komisi baik. foo bar buruk? x.y baik.",
+         lexicon=LOADED, triples=[("x.y", "kpk", -1)])
+@example(body="Andi baik . Komisi\x1cburuk. ÇELİK baik?!  ısmail  ÜNAL buruk",
+         lexicon=LOADED, triples=[("k", "ünal", -1)])
+@example(body="pak andi berkata foo baik. agung tidak buruk. si komisi baik!",
+         lexicon=DIRECT, triples=[("ANDI", "kpk", -1)])
+def test_pipeline_matches_oracle(body, lexicon, triples):
+    check_stages(body, lexicon)
+    check_article(body, lexicon, triples)
+
+
+def test_fixture_corpus_matches_oracle(lexicon, corpus):
+    for article in corpus:
+        check_stages(article.body, lexicon)
+        check_article(article.body, lexicon, [("k", "andi", -1), ("deddy", "kpk", -1)])
