@@ -159,10 +159,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
     rows = []
-    for outlet, whom in sorted(kb.history.keys(), key=lambda k: (k[1], k[0])):
+    by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
+    for (outlet, whom), entries in by_target:
         if args.entity and whom != args.entity:
             continue
-        entries = kb.history.entries(outlet, whom)
         tendency = outlet_tendency(kb.history, whom, outlet=outlet)
         rows.append(
             {

@@ -158,7 +158,7 @@ class ArticleScoreHistory:
         self._outlets: dict[str, set[str]] = {}
 
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
-        if type(score) is not Fraction:  # kb.loads passes a built Fraction
+        if type(score) is not Fraction:  # ingest passes the one article_score built
             score = Fraction(score)
         if not -1 <= score <= 1:
             raise ValueError(f"article score {score} outside [-1, 1]")
@@ -168,8 +168,15 @@ class ArticleScoreHistory:
             self._outlets.setdefault(whom, set()).add(outlet)
         entries.append((article_id, score))
 
-    def entries(self, outlet: str, whom: str) -> list[tuple[str, Fraction]]:
-        return list(self._scores.get((outlet, whom), []))
+    def set_entries(self, outlet: str, whom: str, entries: list[tuple[str, Fraction]]) -> None:
+        """Store a pair's checked ``(article_id, score)`` list, in recording order.
+
+        Takes the list over without copying or re-checking it; an empty
+        list stores nothing.
+        """
+        if entries:
+            self._scores[(outlet, whom)] = entries
+            self._outlets.setdefault(whom, set()).add(outlet)
 
     def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
         """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
@@ -185,8 +192,10 @@ class ArticleScoreHistory:
         return sorted(self._scores)
 
     def items(self) -> Iterator[tuple[tuple[str, str], list[tuple[str, Fraction]]]]:
-        for key in self.keys():
-            yield key, list(self._scores[key])
+        """Pairs in key order with the history's own entry lists; do not mutate them."""
+        scores = self._scores
+        for key in sorted(scores):
+            yield key, scores[key]
 
     def __len__(self) -> int:
         return len(self._scores)

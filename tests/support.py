@@ -42,6 +42,11 @@ _NEGATIONS = sorted(MINI_LEXICON.negation_words)
 _REPORTING = sorted(MINI_LEXICON.reporting_verbs)
 
 
+def history_entries(history, outlet: str, whom: str) -> list[tuple[str, Fraction]]:
+    """The ``(article_id, score)`` list of one history pair; empty if it has none."""
+    return dict(history.items()).get((outlet, whom), [])
+
+
 def random_records(rng: random.Random, n: int, article_id: str = "a") -> list[StatementRecord]:
     records = []
     for i in range(n):
@@ -120,7 +125,7 @@ def random_kb(rng: random.Random) -> KnowledgeBase:
             outlet = rng.choice(("k", "m"))
             whom = rng.choice(IDS)
             used = {
-                aid for aid, _ in kb.history.entries(outlet, whom)
+                aid for aid, _ in history_entries(kb.history, outlet, whom)
             }
             candidates = [a for a in article_pool if a not in used]
             if not candidates:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import stat
 from pathlib import Path
@@ -328,3 +329,27 @@ def test_train_duplicate_article_id_in_corpus(capsys, tmp_path, kb_path):
     assert str(corpus / "copy.txt") in err
     assert "already processed" not in err
     assert not Path(kb_path).exists()
+
+
+HUGE = "9" * 5000  # longer than the integer literals json.loads converts
+
+
+@pytest.mark.parametrize("command", ["report", "analyze", "train"])
+@pytest.mark.parametrize("field", ["version", "cell-s"])
+def test_integer_literal_too_long(capsys, trained_kb_path, command, field):
+    text = Path(trained_kb_path).read_text(encoding="utf-8")
+    if field == "version":
+        bad = text.replace('"version": 1', f'"version": {HUGE}')
+    else:
+        bad = re.sub(r'"s": \d+', f'"s": {HUGE}', text, count=1)
+    assert bad != text
+    Path(trained_kb_path).write_text(bad, encoding="utf-8")
+    argv = {
+        "report": ["report"],
+        "analyze": ["analyze", str(FIXTURES / "corpus" / "1.txt"), "--lexicon", LEXICON],
+        "train": ["train", "--corpus", CORPUS, "--lexicon", LEXICON],
+    }[command]
+    code, out, err = run(capsys, *argv, "--kb", trained_kb_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: document: ")
+    assert Path(trained_kb_path).read_text(encoding="utf-8") == bad

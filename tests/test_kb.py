@@ -20,7 +20,7 @@ from polisent import (
     outlet_tendency,
     outlet_view,
 )
-from support import random_kb
+from support import history_entries, random_kb
 
 
 def roundtrip(kb):
@@ -31,7 +31,7 @@ def test_ingest_first_article(lexicon, article1):
     kb = KnowledgeBase()
     report = ingest(kb, article1, lexicon)
     assert outlet_view(kb.cumulative, "k", "andi") == Cell(-7, 7)
-    assert kb.history.entries("k", "andi") == [("1", Fraction(-1))]
+    assert history_entries(kb.history, "k", "andi") == [("1", Fraction(-1))]
     assert kb.processed == {"1"}
     assert kb.lexicon_fingerprint == lexicon.fingerprint()
     assert report.scores == {
@@ -53,7 +53,7 @@ def test_reingest_rejected_and_kb_unchanged(lexicon, article1):
 
 
 def test_ingest_both_articles(trained_kb):
-    assert trained_kb.history.entries("k", "andi") == [
+    assert history_entries(trained_kb.history, "k", "andi") == [
         ("1", Fraction(-1)),
         ("2", Fraction(1, 2)),
     ]
@@ -128,7 +128,9 @@ def test_cumulative_cells_order_independent(lexicon, corpus):
         ingest(backward, article, lexicon)
     assert forward.cumulative == backward.cumulative
     # History order differs by construction; direct cells must not.
-    assert forward.history.entries("k", "andi") != backward.history.entries("k", "andi")
+    assert history_entries(forward.history, "k", "andi") != history_entries(
+        backward.history, "k", "andi"
+    )
 
 
 def test_load_truncated_document(trained_kb):
@@ -190,7 +192,7 @@ def test_history_preserves_ingestion_order():
     kb.history.record("k", "x", "b", Fraction(1))
     kb.history.record("k", "x", "a", Fraction(-1))
     again = roundtrip(kb)
-    assert again.history.entries("k", "x") == [("b", Fraction(1)), ("a", Fraction(-1))]
+    assert history_entries(again.history, "k", "x") == [("b", Fraction(1)), ("a", Fraction(-1))]
 
 
 def test_tendency_neutral_on_empty_history():

@@ -21,7 +21,7 @@ from polisent import (
     outlet_view,
     speaker_score,
 )
-from support import apply_all, brute_article_score, random_records
+from support import apply_all, brute_article_score, history_entries, random_records
 
 
 def record(who, whom, value):
@@ -169,13 +169,25 @@ def test_history_record_keeps_fractions_and_converts_other_types():
     history.record("k", "x", "1", half)
     history.record("k", "x", "2", -1)
     history.record("k", "x", "3", "1/3")
-    (_, first), (_, second), (_, third) = history.entries("k", "x")
+    (_, first), (_, second), (_, third) = history_entries(history, "k", "x")
     assert first is half
     assert type(second) is Fraction and second == -1
     assert type(third) is Fraction and third == Fraction(1, 3)
     with pytest.raises(ValueError):
         history.record("k", "x", "4", 2)
-    assert len(history.entries("k", "x")) == 3
+    assert len(history_entries(history, "k", "x")) == 3
+
+
+def test_history_set_entries_matches_record():
+    recorded, stored = ArticleScoreHistory(), ArticleScoreHistory()
+    entries = [("1", Fraction(1, 2)), ("2", Fraction(-1))]
+    for article_id, score in entries:
+        recorded.record("k", "x", article_id, score)
+    stored.set_entries("k", "x", list(entries))
+    stored.set_entries("m", "x", [])
+    assert stored == recorded
+    assert stored.scores("x") == [Fraction(1, 2), Fraction(-1)]
+    assert list(stored.items()) == [(("k", "x"), entries)]
 
 
 def test_merge_identity_and_commutativity():

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 import lexicon_oracle as oracle
 from conftest import FIXTURES
-from polisent import DuplicateSurface, LexiconError, Sentence, load_lexicon, resolve
+from polisent import (
+    DuplicateSurface,
+    LexiconError,
+    PolisentError,
+    Sentence,
+    load_lexicon,
+    resolve,
+)
 from polisent.textpipe import Token
 
 # Few words, so that declarations collide often.
@@ -143,3 +150,25 @@ def test_load_matches_oracle(text):
     windows |= {(a, b) for a in tokens[:8] for b in tokens[:8]}
     for window in windows:
         assert window_entity(new, window) == old.entity_for_window(window)
+
+
+headers = st.sampled_from([f"[{name}]" for name in SECTION_LINES] + ["[outlet] k", "[outlet]"])
+any_line = st.one_of(
+    headers,
+    st.sampled_from(list(SECTION_LINES.values())).flatmap(lambda line: line),
+    noise,
+    st.text(alphabet="[]:,+-#01kK \t  x.", max_size=12),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.one_of(
+    lexicon_texts().flatmap(lambda text: st.permutations(text.splitlines())),
+    st.lists(any_line, max_size=20),
+))
+def test_load_raises_only_polisent_errors(lines):
+    try:
+        load_lexicon(io.StringIO("\n".join(lines)))
+    except PolisentError:
+        pass
