@@ -23,7 +23,8 @@ standard library's encoder uses too, so the bytes are the same.
 ``loads`` enforces the full schema and every cell/history invariant in
 one pass over the parsed document, section by section in the order
 above and field by field within each element, so the first fault found
-is the first in that order.
+is the first in that order.  A string must be one that UTF-8 can encode,
+so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
 """
 
 from __future__ import annotations
@@ -175,7 +176,20 @@ def _array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-_NOT_STR = "expected a non-empty string"
+def _unencodable(value: str) -> bool:
+    """Whether UTF-8 cannot encode ``value``, as when it holds a lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def _str_fault(value: object, path: str) -> CorruptDocument:
+    """The error for a ``value`` that is not a non-empty string UTF-8 can encode."""
+    if type(value) is str and value:
+        return CorruptDocument(path, "string holds a surrogate, which UTF-8 cannot encode")
+    return CorruptDocument(path, "expected a non-empty string")
 
 
 def _int_fault(value: object, path: str) -> CorruptDocument:
@@ -206,6 +220,10 @@ def loads(text: str) -> KnowledgeBase:
         raise CorruptDocument("document", f"number out of range ({exc})") from None
     except RecursionError:
         raise CorruptDocument("document", "JSON nested too deeply") from None
+    # A parsed string holds a surrogate only through a "\u" escape or one
+    # already in ``text``, so text without a backslash or a non-ASCII
+    # character needs no per-string check.
+    strict = "\\" in text or not text.isascii()
 
     if type(document) is not dict or document.keys() != _TOP_KEYS:
         raise _fields_fault(document, "document", _TOP_KEYS)
@@ -219,16 +237,18 @@ def loads(text: str) -> KnowledgeBase:
         )
 
     fingerprint = document["lexicon_fingerprint"]
-    if fingerprint is not None and (type(fingerprint) is not str or not fingerprint):
-        raise CorruptDocument("lexicon_fingerprint", _NOT_STR)
+    if fingerprint is not None and (
+        type(fingerprint) is not str or not fingerprint or strict and _unencodable(fingerprint)
+    ):
+        raise _str_fault(fingerprint, "lexicon_fingerprint")
 
     raw_processed = document["processed"]
     if type(raw_processed) is not list:
         raise CorruptDocument("processed", "expected an array")
     processed: set[str] = set()
     for i, article_id in enumerate(raw_processed):
-        if type(article_id) is not str or not article_id:
-            raise CorruptDocument(f"processed[{i}]", _NOT_STR)
+        if type(article_id) is not str or not article_id or strict and _unencodable(article_id):
+            raise _str_fault(article_id, f"processed[{i}]")
         if article_id in processed:
             raise CorruptDocument(f"processed[{i}]", f"duplicate article id {article_id!r}")
         processed.add(article_id)
@@ -242,11 +262,11 @@ def loads(text: str) -> KnowledgeBase:
         if type(raw) is not dict or raw.keys() != _CELL_KEYS:
             raise _fields_fault(raw, f"cells[{i}]", _CELL_KEYS)
         who = raw["who"]
-        if type(who) is not str or not who:
-            raise CorruptDocument(f"cells[{i}].who", _NOT_STR)
+        if type(who) is not str or not who or strict and _unencodable(who):
+            raise _str_fault(who, f"cells[{i}].who")
         whom = raw["whom"]
-        if type(whom) is not str or not whom:
-            raise CorruptDocument(f"cells[{i}].whom", _NOT_STR)
+        if type(whom) is not str or not whom or strict and _unencodable(whom):
+            raise _str_fault(whom, f"cells[{i}].whom")
         p = raw["p"]
         if type(p) is not int:
             raise _int_fault(p, f"cells[{i}].p")
@@ -276,11 +296,11 @@ def loads(text: str) -> KnowledgeBase:
         if type(raw) is not dict or raw.keys() != _PAIR_KEYS:
             raise _fields_fault(raw, f"history[{i}]", _PAIR_KEYS)
         outlet = raw["outlet"]
-        if type(outlet) is not str or not outlet:
-            raise CorruptDocument(f"history[{i}].outlet", _NOT_STR)
+        if type(outlet) is not str or not outlet or strict and _unencodable(outlet):
+            raise _str_fault(outlet, f"history[{i}].outlet")
         whom = raw["whom"]
-        if type(whom) is not str or not whom:
-            raise CorruptDocument(f"history[{i}].whom", _NOT_STR)
+        if type(whom) is not str or not whom or strict and _unencodable(whom):
+            raise _str_fault(whom, f"history[{i}].whom")
         if (outlet, whom) in seen_pairs:
             raise CorruptDocument(
                 f"history[{i}]", f"duplicate history key ({outlet!r}, {whom!r})"
@@ -295,8 +315,11 @@ def loads(text: str) -> KnowledgeBase:
             if type(raw_score) is not dict or raw_score.keys() != _SCORE_KEYS:
                 raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS)
             article_id = raw_score["article_id"]
-            if type(article_id) is not str or not article_id:
-                raise CorruptDocument(f"history[{i}].scores[{j}].article_id", _NOT_STR)
+            if (
+                type(article_id) is not str or not article_id
+                or strict and _unencodable(article_id)
+            ):
+                raise _str_fault(article_id, f"history[{i}].scores[{j}].article_id")
             if article_id not in processed:
                 raise CorruptDocument(
                     f"history[{i}].scores[{j}].article_id",

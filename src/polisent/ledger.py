@@ -9,6 +9,7 @@ distinct no-evidence outcome and is never encoded as zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .errors import ScopeMismatch
@@ -180,13 +181,16 @@ class ArticleScoreHistory:
 
     def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
         """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
-        return list(self._iter_scores(whom, outlet))
+        return [score for _, score in self._entries(whom, outlet)]
 
-    def _iter_scores(self, whom: str, outlet: str | None) -> Iterator[Fraction]:
-        outlets = sorted(self._outlets.get(whom, ())) if outlet is None else (outlet,)
-        for o in outlets:
-            for _, score in self._scores.get((o, whom), ()):
-                yield score
+    def _entries(self, whom: str, outlet: str | None) -> list[tuple[str, Fraction]]:
+        """The stored entries toward ``whom``; with an outlet, its pair's own list."""
+        if outlet is not None:
+            return self._scores.get((outlet, whom), [])
+        scores = self._scores
+        return [
+            entry for o in sorted(self._outlets.get(whom, ())) for entry in scores[(o, whom)]
+        ]
 
     def keys(self) -> list[tuple[str, str]]:
         return sorted(self._scores)
@@ -215,12 +219,20 @@ def outlet_tendency(
     """Arithmetic mean of the recorded article scores for one target.
 
     Reads only the scores of the (outlet, whom) pairs asked for; with
-    ``outlet=None`` that is every outlet's pair for ``whom``.
+    ``outlet=None`` that is every outlet's pair for ``whom``.  The
+    numerators are summed per denominator and then over the lcm of the
+    denominators, all as integers, and the mean is one ``Fraction``.
     """
-    scores = list(history._iter_scores(whom, outlet))
-    if not scores:
+    entries = history._entries(whom, outlet)
+    if not entries:
         return NEUTRAL
-    return sum(scores, Fraction(0)) / len(scores)
+    sums: dict[int, int] = {}  # numerators summed per denominator
+    for _, score in entries:
+        d = score.denominator
+        sums[d] = sums.get(d, 0) + score.numerator
+    den = lcm(*sums)
+    total = sum(num * (den // d) for d, num in sums.items())
+    return Fraction(total, den * len(entries))
 
 
 def format_matrix(
@@ -237,19 +249,37 @@ def format_matrix(
     """
     if value not in ("p", "s"):
         raise ValueError(f"value must be 'p' or 's', got {value!r}")
+    field = Cell._fields.index(value)
     whos = [outlet] + sorted(ledger.whos() - {outlet})
-    ids = ledger.whos() | ledger.whoms()
-    whoms = [outlet] + sorted(ids - {outlet})
-    # One pass groups the direct cells by target; a row's outlet view is
-    # the sum of that row's cells (see ``outlet_view``).
-    rows: dict[str, dict[str, Cell]] = {}
+    column = {who: i for i, who in enumerate(whos)}
+    # One pass groups the direct cells by target as (column, value).
+    rows: dict[str, list[tuple[int, int]]] = {}
     for (who, whom), cell in ledger._cells.items():
-        rows.setdefault(whom, {})[who] = cell
+        rows.setdefault(whom, []).append((column[who], cell[field]))
+    whoms = [outlet] + sorted((rows.keys() | column.keys()) - {outlet})
+    # A row is its label, its cells in column order and, between them,
+    # runs of zeros cut from one string: O(cells) per row, plus the copy.
+    zeros = "\t0" * len(whos)
     lines = ["\t".join([""] + whos)]
     for whom in whoms:
-        row = rows.get(whom, {})
-        shown = {who: str(getattr(cell, value)) for who, cell in row.items()}
+        row = rows.get(whom)
+        if row is None:
+            lines.append(whom + zeros)
+            continue
+        row.sort()
+        parts = [whom]
+        done = 0  # columns written so far
         if with_outlet_view:
-            shown[outlet] = str(sum(getattr(cell, value) for cell in row.values()))
-        lines.append("\t".join([whom] + [shown.get(who, "0") for who in whos]))
+            # The outlet's column shows the row's sum (see ``outlet_view``)
+            # in place of its own direct cell.
+            parts.append(f"\t{sum(v for _, v in row)}")
+            done = 1
+            if row[0][0] == 0:
+                del row[0]
+        for i, v in row:
+            parts.append(zeros[: 2 * (i - done)])
+            parts.append(f"\t{v}")
+            done = i + 1
+        parts.append(zeros[2 * done:])
+        lines.append("".join(parts))
     return "\n".join(lines) + "\n"

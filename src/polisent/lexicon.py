@@ -14,7 +14,7 @@ Every surface form is normalized to lowercase and may be declared only
 once, in one category.  A canonical entity id acts as its own implicit
 alias.  Every alias must be able to match text: each of its words is a
 single word token and none of them is a stopword, since cleansing drops
-stopwords before aliases are resolved.
+stopwords before aliases are resolved.  The id is one word token too.
 """
 
 from __future__ import annotations
@@ -90,11 +90,13 @@ def _opinion_class(entry: OpinionEntry) -> TokenClass:
 
 
 def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]) -> None:
-    """Reject an entity that shadows the outlet or an alias that cannot match."""
-    if entity.canonical_id == outlet_id:
-        raise DuplicateSurface(
-            f"entity id {entity.canonical_id!r} collides with the outlet id"
-        )
+    """Reject an entity that shadows the outlet or a surface that cannot match."""
+    canonical = entity.canonical_id
+    if canonical == outlet_id:
+        raise DuplicateSurface(f"entity id {canonical!r} collides with the outlet id")
+    # isalnum() settles most ids: \w is a character isalnum() accepts, or "_".
+    if not canonical.isalnum() and not WORD_RE.fullmatch("".join(canonical.split())):
+        raise LexiconError(f"entity id {canonical!r} contains a non-word character")
     for alias in entity.aliases:
         words = alias.split()
         if not WORD_RE.fullmatch("".join(words)):

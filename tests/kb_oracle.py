@@ -1,7 +1,9 @@
 """The knowledge-base codec as it was before the hand-written layout, kept as a test oracle.
 
 ``loads`` checks each field through the ``_expect*`` helpers and records
-every score through ``ArticleScoreHistory.record``; ``dumps`` is the
+every score through ``ArticleScoreHistory.record``.  It also rejects a
+string that UTF-8 cannot encode, a rule added after the codec was frozen
+so that both sides accept the same documents.  ``dumps`` is the
 standard library's encoder with ``sort_keys=True, indent=2,
 ensure_ascii=False``.  The differential tests require ``polisent.kb`` to
 accept, reject and write exactly what these do.
@@ -62,6 +64,11 @@ def _expect_int(value: object, path: str) -> int:
 
 def _expect_str(value: object, path: str) -> str:
     _expect(isinstance(value, str) and value != "", path, "expected a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        message = "string holds a surrogate, which UTF-8 cannot encode"
+        raise CorruptDocument(path, message) from None
     return value
 
 

@@ -6,15 +6,18 @@ checks) and classifies a token by reading up to five tables.  The
 differential tests require the library's ``load_lexicon`` to accept and
 reject the same texts, with the same error class and line, and to agree
 on ``lookup``, ``entity_for_window``, ``dumps`` and ``fingerprint``.
+The loader also rejects an entity id with a non-word character, which
+no text can match; that rule was added after the lexicon was frozen.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from polisent.errors import DuplicateSurface, InvalidValence, MalformedLine
+from polisent.errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
 
 _SECTIONS = ("stopwords", "negations", "reporting", "opinions", "entities")
 
@@ -320,6 +323,11 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
         if entity.canonical_id == outlet:
             raise DuplicateSurface(
                 f"entity id {entity.canonical_id!r} collides with the outlet id",
+                line=line_no,
+            )
+        if not re.fullmatch(r"\w+", entity.canonical_id):
+            raise LexiconError(
+                f"entity id {entity.canonical_id!r} contains a non-word character",
                 line=line_no,
             )
 

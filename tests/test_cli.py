@@ -318,6 +318,25 @@ def test_unreadable_kb_document(capsys, tmp_path, command, content):
     assert err.startswith("error: document: ")
 
 
+@pytest.mark.parametrize("command, path",
+                         [("train", "processed[2]"), ("report", "history[0].whom")])
+def test_surrogate_in_kb_is_an_input_error(capsys, trained_kb_path, command, path):
+    # Each would otherwise reach a UTF-8 write: train saves the registry,
+    # report prints the target.
+    document = json.loads(Path(trained_kb_path).read_text(encoding="utf-8"))
+    if command == "train":
+        document["processed"].append("\ud800")
+    else:
+        document["history"][0]["whom"] = "\ud800"
+    bad = json.dumps(document)  # escaped, as ensure_ascii writes it
+    Path(trained_kb_path).write_text(bad, encoding="utf-8")
+    argv = {"train": ["train", "--corpus", CORPUS, "--lexicon", LEXICON], "report": ["report"]}
+    code, out, err = run(capsys, *argv[command], "--kb", trained_kb_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+    assert Path(trained_kb_path).read_text(encoding="utf-8") == bad
+
+
 def test_train_duplicate_article_id_in_corpus(capsys, tmp_path, kb_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(CORPUS, corpus)

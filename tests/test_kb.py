@@ -155,6 +155,23 @@ def test_load_rejects_invariant_violation(trained_kb):
     assert "cells[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "raw"])
+def test_load_rejects_surrogate_strings(trained_kb, ensure_ascii):
+    document = json.loads(kbmod.dumps(trained_kb))
+    document["history"][0]["whom"] = "a\ud800"
+    document["cells"][1]["who"] = "\udfff"
+    with pytest.raises(CorruptDocument) as err:
+        kbmod.loads(json.dumps(document, ensure_ascii=ensure_ascii))
+    assert str(err.value).startswith("cells[1].who: ")
+    assert "surrogate" in str(err.value)
+    # Escaped, a high and a low surrogate in a row are one character.
+    document["cells"][1]["who"] = "\ud83d\ude00"
+    with pytest.raises(CorruptDocument) as err:
+        kbmod.loads(json.dumps(document, ensure_ascii=ensure_ascii))
+    want = "history[0].whom: " if ensure_ascii else "cells[1].who: "
+    assert str(err.value).startswith(want)
+
+
 def test_load_rejects_version_mismatch(trained_kb):
     document = json.loads(kbmod.dumps(trained_kb))
     document["version"] = 99

@@ -3,8 +3,8 @@
 Random valid knowledge bases must load to the same ``KnowledgeBase`` and
 dump to the same bytes on both sides.  Mutations of valid documents
 (a field dropped, added or retyped at every level, a bound exceeded, a
-key or id duplicated, a score not in lowest terms, an empty score list)
-must be accepted or rejected alike, with the same exception class and
+key or id duplicated, a score not in lowest terms, an empty score list,
+a string holding a surrogate) must be accepted or rejected alike, with the same exception class and
 message, and that class must be a ``PolisentError``.  Faults made on the
 text of a valid document (truncation, a stray character, an overlong
 integer) must raise only ``PolisentError`` too.
@@ -88,13 +88,14 @@ class Parts:
 
     def __init__(self, document):
         self.document = document
+        self.processed = document["processed"]
         self.history = document["history"]
         self.objects = [("document", document)]
         self.objects += [("cell", cell) for cell in document["cells"]]
         for pair in self.history:
             self.objects.append(("pair", pair))
             self.objects += [("score", score) for score in pair["scores"]]
-        self.arrays = [document["processed"], document["cells"], self.history]
+        self.arrays = [self.processed, document["cells"], self.history]
         self.arrays += [pair["scores"] for pair in self.history]
 
     def of_kind(self, *kinds):
@@ -188,8 +189,27 @@ def null_fingerprint(draw, parts):
     parts.document["lexicon_fingerprint"] = None
 
 
+# Strings holding surrogates.  Written escaped, json.loads joins the first
+# pair into one code point and keeps the rest; written raw, it keeps all.
+SURROGATES = ("\ud83d\ude00", "\ud800", "a\udfff", "\udc00\ud800", "é\udbff")
+STRINGS = {"document": ("lexicon_fingerprint",), "cell": ("who", "whom"),
+           "pair": ("outlet", "whom"), "score": ("article_id",)}
+
+
+def surrogate_string(draw, parts):
+    """A string field or an article id of the registry that UTF-8 may not encode."""
+    value = draw(st.sampled_from(SURROGATES))
+    processed = parts.processed
+    if processed and draw(st.booleans()):
+        processed[draw(st.integers(0, len(processed) - 1))] = value
+    else:
+        kind, obj = parts.draw_object(draw)
+        obj[draw(st.sampled_from(STRINGS[kind]))] = value
+
+
 MUTATIONS = (retype_two_fields, retype_field, drop_field, add_field, retype_element, exceed_bound,
-             duplicate, not_lowest_terms, empty_scores, ghost_article, null_fingerprint)
+             duplicate, not_lowest_terms, empty_scores, ghost_article, null_fingerprint,
+             surrogate_string)
 
 
 @st.composite
@@ -250,6 +270,11 @@ def pair(*scores):
 @example(text=document(history=[pair({"article_id": "a", "num": 2, "den": 4})]))
 @example(text=document(history=[pair({"article_id": "a", "num": None, "den": "1"})]))
 @example(text=document(cells=[{"who": "k", "whom": "x", "p": 1, "s": 0}]))
+@example(text=document(processed=["a", "\ud800"]))
+@example(text=document(cells=[{"who": "k", "whom": "\ud83d\ude00", "p": 1, "s": 1}]))
+@example(text=document(cells=[{"who": "k", "whom": "\ud83d\ude00", "p": 1, "s": 1}])
+         .replace("\\ud83d\\ude00", "\ud83d\ude00"))
+@example(text=document(history=[pair({"article_id": "\udc00", "num": 1, "den": 1})]))
 def test_mutated_documents_match_oracle(text):
     new, new_err = outcome(kbmod.loads, text)
     old, old_err = outcome(oracle.loads, text)

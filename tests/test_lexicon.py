@@ -98,6 +98,17 @@ def test_alias_containing_non_word_character_rejected():
     assert err.value.line is None
 
 
+def test_entity_id_with_non_word_character_rejected():
+    # Text "x.y" tokenizes as x and y, so the id could never resolve.
+    with pytest.raises(LexiconError) as err:
+        loads("[outlet] k\n[entities]\nc : foo\nx.y : bar\n")
+    assert err.value.line == 4
+    assert "entity id 'x.y'" in str(err.value)
+    with pytest.raises(LexiconError) as err:
+        Lexicon("k", entities=[EntityEntry("x.y", ("bar",))])
+    assert err.value.line is None
+
+
 def test_entity_id_collides_with_outlet():
     with pytest.raises(DuplicateSurface):
         loads("[outlet] k\n[entities]\nk : media\n")

@@ -4,9 +4,10 @@ Random bodies mix lexicon words in random case, non-ASCII words (``İ``
 lowercases to two code points, the second not a word character), runs of
 punctuation, terminators with and without whitespace after them, and
 ASCII and non-ASCII whitespace.  The lexicons declare nested and
-overlapping multi-word aliases, an id with a non-word character whose
-aliases still match, punctuation declared as a stopword and an opinion,
-and (built directly, not loaded) canonical ids that are not lowercase.
+overlapping multi-word aliases, an id whose aliases share no word with
+it (text spells it ``x.y``, two plain words), punctuation declared as a
+stopword and an opinion, and (built directly, not loaded) canonical ids
+that are not lowercase or are several words.
 Per body the library must give the oracle's sentences, tokens, kept and
 resolved words with their classes, alias hits and statement records.
 """
@@ -58,7 +59,7 @@ majelis : majelis hakim agung
 hakim : hakim agung , agung
 p : a b c , q r
 s : b c d , a b
-x.y : foo , foo bar
+xy : foo , foo bar
 ünal : ısmail ünal , çelik
 """.splitlines())
 
@@ -106,7 +107,7 @@ sentence = st.tuples(
 bodies = st.lists(sentence, max_size=6).map(
     lambda sentences: "".join("".join(f + s for f, s in words) + end for words, end in sentences)
 )
-IDS = ("andi", "kpk", "ani", "hakim", "majelis", "p", "s", "x.y", "ünal", "ANDI", "SI")
+IDS = ("andi", "kpk", "ani", "hakim", "majelis", "p", "s", "xy", "ünal", "ANDI", "SI")
 priors = st.lists(
     st.tuples(st.sampled_from(("k",) * 4 + IDS), st.sampled_from(IDS), st.sampled_from((-1, 1))),
     max_size=30,
@@ -168,7 +169,7 @@ def check_article(body, lexicon, triples):
 @example(body="a b c d. b c d a b c. majelis hakim agung agung hakim!",
          lexicon=LOADED, triples=[])
 @example(body="foo berkata komisi baik. foo bar buruk? x.y baik.",
-         lexicon=LOADED, triples=[("x.y", "kpk", -1)])
+         lexicon=LOADED, triples=[("xy", "kpk", -1)])
 @example(body="Andi baik . Komisi\x1cburuk. ÇELİK baik?!  ısmail  ÜNAL buruk",
          lexicon=LOADED, triples=[("k", "ünal", -1)])
 @example(body="pak andi berkata foo baik. agung tidak buruk. si komisi baik!",
