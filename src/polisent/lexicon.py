@@ -94,12 +94,13 @@ def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]
     canonical = entity.canonical_id
     if canonical == outlet_id:
         raise DuplicateSurface(f"entity id {canonical!r} collides with the outlet id")
-    # isalnum() settles most ids: \w is a character isalnum() accepts, or "_".
+    # isalnum() settles most surfaces: \w is a character isalnum() accepts, or "_".
     if not canonical.isalnum() and not WORD_RE.fullmatch("".join(canonical.split())):
         raise LexiconError(f"entity id {canonical!r} contains a non-word character")
     for alias in entity.aliases:
         words = alias.split()
-        if not WORD_RE.fullmatch("".join(words)):
+        joined = "".join(words)
+        if not joined.isalnum() and not WORD_RE.fullmatch(joined):
             raise LexiconError(f"alias {alias!r} contains a non-word character")
         if not stopwords.isdisjoint(words):
             raise LexiconError(f"alias {alias!r} contains a stopword")
