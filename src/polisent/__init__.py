@@ -58,54 +58,3 @@ from .textpipe import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ARTICLE",
-    "ArticleScoreHistory",
-    "CUMULATIVE",
-    "Cell",
-    "CorpusError",
-    "CorruptDocument",
-    "DuplicateArticle",
-    "DuplicateSurface",
-    "EntityEntry",
-    "FORMAT_VERSION",
-    "IngestReport",
-    "InvalidValence",
-    "KnowledgeBase",
-    "Lexicon",
-    "LexiconError",
-    "LexiconMismatch",
-    "MalformedLine",
-    "NEUTRAL",
-    "OpinionEntry",
-    "PolarityLedger",
-    "PolisentError",
-    "RawArticle",
-    "ScopeMismatch",
-    "Sentence",
-    "StatementRecord",
-    "TokenClass",
-    "VersionMismatch",
-    "analyze_article",
-    "article_score",
-    "classify_score",
-    "cleanse",
-    "format_matrix",
-    "ingest",
-    "kb",
-    "load_corpus",
-    "load_lexicon",
-    "load_lexicon_file",
-    "merge",
-    "outlet_tendency",
-    "outlet_view",
-    "parse_article",
-    "process",
-    "read_article",
-    "resolve",
-    "segment",
-    "speaker_score",
-    "tokenize",
-    "trace",
-]

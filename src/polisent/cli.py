@@ -244,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PolisentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PolisentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ from .ledger import (
     Cell,
     PolarityLedger,
     article_score,
-    merge,
+    merge,  # noqa: F401  kept importable as kb.merge: bench/spans.py wraps it
 )
 from .lexicon import Lexicon
 from .textpipe import RawArticle
@@ -107,9 +107,9 @@ def ingest(kb: KnowledgeBase, article: RawArticle, lexicon: Lexicon) -> IngestRe
 
     The cumulative ledger as of the call is the prior for the sarcasm
     check.  Article scores are recorded for every target the article
-    mentions, then the per-article cells join the cumulative ledger.
-    Mutates ``kb``; raises before any mutation on duplicate articles or
-    lexicon mismatch.
+    mentions, then the per-article cells are added into the cumulative
+    ledger in place.  Mutates ``kb``; raises before any mutation on
+    duplicate articles or lexicon mismatch.
     """
     fingerprint = lexicon.fingerprint()
     if kb.lexicon_fingerprint is not None and kb.lexicon_fingerprint != fingerprint:
@@ -131,7 +131,7 @@ def ingest(kb: KnowledgeBase, article: RawArticle, lexicon: Lexicon) -> IngestRe
         scores[whom] = score
         kb.history.record(article.outlet_id, whom, article.article_id, score)
 
-    kb.cumulative = merge(kb.cumulative, article_ledger.as_scope(CUMULATIVE))
+    kb.cumulative.add(article_ledger)
     kb.processed.add(article.article_id)
     kb.lexicon_fingerprint = fingerprint
     return IngestReport(

@@ -62,11 +62,8 @@ class PolarityLedger:
         old = self._cells.get(key, Cell())
         self._cells[key] = Cell(old.p + record.value, old.s + 1)
 
-    def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._cells)
-
     def items(self) -> Iterator[tuple[tuple[str, str], Cell]]:
-        for key in self.keys():
+        for key in sorted(self._cells):
             yield key, self._cells[key]
 
     def whos(self) -> set[str]:
@@ -75,10 +72,12 @@ class PolarityLedger:
     def whoms(self) -> set[str]:
         return {whom for _, whom in self._cells}
 
-    def as_scope(self, scope: str) -> "PolarityLedger":
-        clone = PolarityLedger(scope)
-        clone._cells = dict(self._cells)
-        return clone
+    def add(self, other: "PolarityLedger") -> None:
+        """Add another ledger's cells into this one, in place."""
+        cells = self._cells
+        for key, cell in other._cells.items():
+            old = cells.get(key)
+            cells[key] = cell if old is None else Cell(old.p + cell.p, old.s + cell.s)
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -98,9 +97,7 @@ def merge(a: PolarityLedger, b: PolarityLedger) -> PolarityLedger:
         raise ScopeMismatch(f"cannot merge {a.scope!r} ledger with {b.scope!r} ledger")
     merged = PolarityLedger(a.scope)
     merged._cells = dict(a._cells)
-    for key, cell in b._cells.items():
-        old = merged._cells.get(key, Cell())
-        merged._cells[key] = Cell(old.p + cell.p, old.s + cell.s)
+    merged.add(b)
     return merged
 
 
@@ -123,15 +120,18 @@ def article_score(article_ledger: PolarityLedger, whom: str) -> Score:
     Defined over a per-article ledger (direct cells only); folding in a
     derived outlet view first would double-count.
     """
+    return speaker_score(_column_sum(article_ledger, whom))
+
+
+def _column_sum(ledger: PolarityLedger, whom: str) -> Cell:
+    """Componentwise sum of every speaker's cell toward ``whom``."""
     total_p = 0
     total_s = 0
-    for (_, target), cell in article_ledger._cells.items():
+    for (_, target), cell in ledger._cells.items():
         if target == whom:
             total_p += cell.p
             total_s += cell.s
-    if total_s == 0:
-        return NEUTRAL
-    return Fraction(total_p, total_s)
+    return Cell(total_p, total_s)
 
 
 def outlet_view(cumulative_ledger: PolarityLedger, outlet: str, whom: str) -> Cell:
@@ -140,13 +140,7 @@ def outlet_view(cumulative_ledger: PolarityLedger, outlet: str, whom: str) -> Ce
     Componentwise sum of the outlet's own cell and every other speaker's
     cell for that target.  Read-only: direct cells are never touched.
     """
-    total_p = 0
-    total_s = 0
-    for (_, target), cell in cumulative_ledger._cells.items():
-        if target == whom:
-            total_p += cell.p
-            total_s += cell.s
-    return Cell(total_p, total_s)
+    return _column_sum(cumulative_ledger, whom)
 
 
 class ArticleScoreHistory:

@@ -15,6 +15,8 @@ once, in one category.  A canonical entity id acts as its own implicit
 alias.  Every alias must be able to match text: each of its words is a
 single word token and none of them is a stopword, since cleansing drops
 stopwords before aliases are resolved.  The id is one word token too.
+A :class:`Lexicon` built in code follows the same rules: a surface that
+is not its own lowercase, or an id of more than one word, is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
 
@@ -45,8 +47,7 @@ class EntityEntry:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TokenClass:
+class TokenClass(NamedTuple):
     """Classification of one normalized token.
 
     ``kind`` is one of ``stopword``, ``negation``, ``opinion``,
@@ -64,20 +65,49 @@ NEGATION = TokenClass("negation")
 REPORTING_VERB = TokenClass("reporting_verb")
 PLAIN = TokenClass("plain")
 _OPINIONS = {1: TokenClass("opinion", valence=1), -1: TokenClass("opinion", valence=-1)}
-_ENTITY = TokenClass("entity")  # what the loader claims for an entity surface
 _WORD_CLASSES = {"stopwords": STOPWORD, "negations": NEGATION, "reporting": REPORTING_VERB}
 # Key of the match in a node of ``Lexicon.alias_trie``; no word is empty.
 ALIAS_MATCH = ""
 
 
-def _claim(table: dict[str, TokenClass], surface: str, token_class: TokenClass) -> None:
-    """Enter one surface in the table; a second declaration is an error."""
+class Token(NamedTuple):
+    """A kept word and its class."""
+
+    normalized: str
+    token_class: TokenClass
+
+
+class Dropped(Token):
+    """The token of a surface cleansing drops: a stopword or punctuation."""
+
+    __slots__ = ()
+
+
+# Builds a Token without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
+
+
+def _claim(table: dict[str, Token], surface: str, token_class: TokenClass) -> None:
+    """Enter one surface's shared token in the table; a second declaration is an error."""
+    if surface != surface.lower():
+        raise LexiconError(f"surface {surface!r} is not lowercase, so no token can match it")
     previous = table.get(surface)
     if previous is not None:
         raise DuplicateSurface(
-            f"{surface!r} already declared as {previous.kind.replace('_', ' ')}"
+            f"{surface!r} already declared as {previous.token_class.kind.replace('_', ' ')}"
         )
-    table[surface] = token_class
+    kept = token_class is not STOPWORD and (surface.isalnum() or WORD_RE.search(surface))
+    table[surface] = _new(Token if kept else Dropped, (surface, token_class))
+
+
+def _claim_entity(table: dict[str, Token], entity: EntityEntry) -> None:
+    """Claim the id and every alias, keyed by their space-joined words."""
+    token_class = TokenClass("entity", entity_id=entity.canonical_id)
+    for surface in (entity.canonical_id, *entity.aliases):
+        words = surface.split()
+        if not words:
+            raise MalformedLine(f"entity {entity.canonical_id!r} declares an empty alias")
+        _claim(table, " ".join(words), token_class)
 
 
 def _opinion_class(entry: OpinionEntry) -> TokenClass:
@@ -95,7 +125,7 @@ def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]
     if canonical == outlet_id:
         raise DuplicateSurface(f"entity id {canonical!r} collides with the outlet id")
     # isalnum() settles most surfaces: \w is a character isalnum() accepts, or "_".
-    if not canonical.isalnum() and not WORD_RE.fullmatch("".join(canonical.split())):
+    if not canonical.isalnum() and not WORD_RE.fullmatch(canonical):
         raise LexiconError(f"entity id {canonical!r} contains a non-word character")
     for alias in entity.aliases:
         words = alias.split()
@@ -107,7 +137,13 @@ def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]
 
 
 class Lexicon:
-    """Immutable word database: a surface-to-class table and an alias trie."""
+    """Immutable word database: a surface-to-token table and an alias trie.
+
+    ``tokens`` maps each surface (a multi-word one by its words joined
+    with one space) to its one shared :class:`Token`; a :class:`Dropped`
+    token marks a surface that cleansing drops.  ``_tokens`` is a table
+    :func:`load_lexicon` has already claimed and checked.
+    """
 
     def __init__(
         self,
@@ -117,6 +153,8 @@ class Lexicon:
         stopwords: Iterable[str] = (),
         reporting_verbs: Iterable[str] = (),
         entities: Iterable[EntityEntry] = (),
+        *,
+        _tokens: dict[str, Token] | None = None,
     ):
         self.outlet_id = outlet_id.lower()
         if not self.outlet_id:
@@ -131,32 +169,28 @@ class Lexicon:
         self.entities = tuple(entities)
         self._fingerprint: str | None = None
 
-        # Multi-word entity surfaces are keyed by their space-joined words.
-        self._classes: dict[str, TokenClass] = {}
-        for surfaces, token_class in (
-            (stopwords, STOPWORD), (negation_words, NEGATION), (reporting_verbs, REPORTING_VERB)
-        ):
-            for surface in surfaces:
-                _claim(self._classes, surface, token_class)
-        for entry in self.opinion_entries:
-            _claim(self._classes, entry.surface, _opinion_class(entry))
-        for entity in self.entities:
-            token_class = TokenClass("entity", entity_id=entity.canonical_id)
-            for surface in (entity.canonical_id, *entity.aliases):
-                words = surface.split()
-                if not words:
-                    raise MalformedLine(f"entity {entity.canonical_id!r} declares an empty alias")
-                _claim(self._classes, " ".join(words), token_class)
-            _check_entity(entity, self.outlet_id, self.stopwords)
+        if _tokens is None:
+            _tokens = {}
+            for surfaces, token_class in (
+                (stopwords, STOPWORD), (negation_words, NEGATION), (reporting_verbs, REPORTING_VERB)
+            ):
+                for surface in surfaces:
+                    _claim(_tokens, surface, token_class)
+            for entry in self.opinion_entries:
+                _claim(_tokens, entry.surface, _opinion_class(entry))
+            for entity in self.entities:
+                _claim_entity(_tokens, entity)
+                _check_entity(entity, self.outlet_id, self.stopwords)
+        self.tokens = _tokens
 
         # Token trie of the entity surfaces: a node maps the next word to
-        # its child, and ALIAS_MATCH to the (word, class) pair that replaces
-        # the words so far.  The class is what looking up the canonical id
-        # gives, so it is read once the table is complete.
+        # its child, and ALIAS_MATCH to the token that replaces the words
+        # so far.  That token is never the one cleansing gives for the id,
+        # so a replaced window can be told from a kept word by identity.
         self.alias_trie: dict[str, dict] = {}
         for entity in self.entities:
             canonical = entity.canonical_id
-            replacement = (canonical, self._classes.get(canonical.lower(), PLAIN))
+            replacement = _new(Token, (canonical, _tokens[canonical].token_class))
             for surface in (canonical, *entity.aliases):
                 node = self.alias_trie
                 for word in surface.split():
@@ -169,7 +203,8 @@ class Lexicon:
         Total and case-insensitive: the token is lowercased before the
         table is read.
         """
-        return self._classes.get(token.lower(), PLAIN)
+        found = self.tokens.get(token.lower())
+        return PLAIN if found is None else found.token_class
 
     def category_counts(self) -> dict[str, int]:
         return {
@@ -227,9 +262,9 @@ class Lexicon:
 def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
     """Parse a lexicon file.  All errors carry the offending line number.
 
-    Surfaces are claimed in file order, so the first fault in the file
-    is the one reported; the :class:`Lexicon` built at the end applies
-    the same rules again and cannot fail.
+    Surfaces are claimed into the lexicon's token table in file order,
+    so the first fault in the file is the one reported; the entities are
+    checked once the stopwords are all known.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -241,7 +276,7 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
     words: dict[str, list[str]] = {name: [] for name in _WORD_CLASSES}
     opinions: list[OpinionEntry] = []
     entities: list[tuple[int, EntityEntry]] = []
-    claimed: dict[str, TokenClass] = {}
+    tokens: dict[str, Token] = {}
 
     line_no = 0  # after the loop: the last line, which a missing outlet reports
     try:
@@ -269,7 +304,7 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
                 parts = line.lower().split()
                 if len(parts) != 1:
                     raise MalformedLine("expected one token per line")
-                _claim(claimed, parts[0], _WORD_CLASSES[section])
+                _claim(tokens, parts[0], _WORD_CLASSES[section])
                 words[section].append(parts[0])
             elif section == "opinions":
                 parts = line.lower().split()
@@ -282,7 +317,7 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
                     raise MalformedLine(
                         f"valence {valence_text!r} is not an integer"
                     ) from None
-                _claim(claimed, surface, _opinion_class(entry))
+                _claim(tokens, surface, _opinion_class(entry))
                 opinions.append(entry)
             else:  # entities
                 if line.count(":") > 1:
@@ -299,9 +334,9 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
                         if not alias:
                             raise MalformedLine("empty alias")
                         aliases.append(alias)
-                for surface in (canonical, *aliases):
-                    _claim(claimed, surface, _ENTITY)
-                entities.append((line_no, EntityEntry(canonical, tuple(aliases))))
+                entity = EntityEntry(canonical, tuple(aliases))
+                _claim_entity(tokens, entity)
+                entities.append((line_no, entity))
 
         if outlet is None:
             raise MalformedLine("missing [outlet] declaration")
@@ -318,6 +353,7 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
         stopwords=words["stopwords"],
         reporting_verbs=words["reporting"],
         entities=[entity for _, entity in entities],
+        _tokens=tokens,
     )
 
 

@@ -9,11 +9,12 @@ the body.  Processing is a pure function of (body, lexicon):
 Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
 text.  Tokenization splits a sentence into word runs and punctuation
 marks and lowercases each token on its own.  Cleansing drops punctuation
-and stopwords and classifies every word, once, through
-:meth:`Lexicon.lookup`; the kept words travel on as :class:`Token`
-pairs of word and class.  Resolution walks the lexicon's token trie of
-entity surfaces and replaces each alias (longest match wins) with one
-token holding its canonical entity id.
+and stopwords and classifies every word with one read of the lexicon's
+token table, which holds the shared :class:`Token` pair of word and class
+of every declared surface; only an unknown word gets a new ``plain``
+token.  Resolution walks the lexicon's token trie of entity surfaces and
+replaces each alias (longest match wins) with one token holding its
+canonical entity id.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorpusError
-from .lexicon import ALIAS_MATCH, STOPWORD, WORD_RE, Lexicon, TokenClass
+from .lexicon import ALIAS_MATCH, PLAIN, WORD_RE, Lexicon, Token
 
 # A terminator followed by whitespace: the zero-width split point.
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])(?=\s)")
@@ -39,19 +40,7 @@ class RawArticle:
     body: str
 
 
-class Token(NamedTuple):
-    """A kept word and its class."""
-
-    normalized: str
-    token_class: TokenClass
-
-
-# Builds a Token without the Python-level ``__new__`` of a NamedTuple.
-_new_token = tuple.__new__
-
-
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One sentence's tokens.
 
     :func:`tokenize` gives lowercase strings, words and punctuation marks;
@@ -60,6 +49,10 @@ class Sentence:
 
     index: int
     tokens: tuple[str, ...] | tuple[Token, ...]
+
+
+# Builds a Token or a Sentence without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 def segment(body: str) -> list[str]:
@@ -79,23 +72,26 @@ def tokenize(sentence_text: str, index: int) -> Sentence:
     that is not a word character (``"İ"`` becomes ``"i"`` plus a combining
     dot), which must not split the word.
     """
-    return Sentence(index, tuple(map(str.lower, _TOKEN_RE.findall(sentence_text))))
+    return _new(Sentence, (index, tuple(map(str.lower, _TOKEN_RE.findall(sentence_text)))))
 
 
 def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     """Drop stopwords and punctuation tokens, keeping order.
 
-    Expects a tokenized sentence.  Every word is looked up once, and the
-    kept words carry their class.
+    Expects a tokenized sentence.  A declared word is kept as the
+    lexicon's shared token, an unknown word as a new ``plain`` one.
     """
-    lookup = lexicon.lookup
+    table = lexicon.tokens.get
     is_word = WORD_RE.search  # after isalnum(), which settles most words
-    kept = [
-        _new_token(Token, (word, token_class))
-        for word in sentence.tokens
-        if (word.isalnum() or is_word(word)) and (token_class := lookup(word)) is not STOPWORD
-    ]
-    return Sentence(sentence.index, tuple(kept))
+    kept = []
+    for word in sentence.tokens:
+        token = table(word)
+        if token is None:
+            if word.isalnum() or is_word(word):
+                kept.append(_new(Token, (word, PLAIN)))
+        elif token.__class__ is Token:  # not Dropped
+            kept.append(token)
+    return _new(Sentence, (sentence.index, tuple(kept)))
 
 
 def resolve(sentence: Sentence, lexicon: Lexicon) -> Sentence:
@@ -125,20 +121,17 @@ def resolve(sentence: Sentence, lexicon: Lexicon) -> Sentence:
         if match is None:
             out.append(token)
         else:
-            out.append(Token(*match))
+            out.append(match)
             i = end
-    return Sentence(sentence.index, tuple(out))
+    return _new(Sentence, (sentence.index, tuple(out)))
 
 
 def process(body: str, lexicon: Lexicon) -> list[Sentence]:
     """Run the full pipeline over a body."""
-    result = []
-    for index, text in enumerate(segment(body), start=1):
-        sentence = tokenize(text, index)
-        sentence = cleanse(sentence, lexicon)
-        sentence = resolve(sentence, lexicon)
-        result.append(sentence)
-    return result
+    return [
+        resolve(cleanse(tokenize(text, index), lexicon), lexicon)
+        for index, text in enumerate(segment(body), start=1)
+    ]
 
 
 def parse_article(text: str, origin: str = "<article>") -> RawArticle:

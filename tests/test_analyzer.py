@@ -13,7 +13,6 @@ from polisent import (
     tokenize,
     trace,
 )
-from polisent.lexicon import WORD_RE
 from support import MINI_LEXICON, random_article, random_prior
 
 
@@ -194,19 +193,20 @@ def test_trace_renders_outlet_as_zero():
 
 
 def test_each_word_looked_up_once(lexicon, article1, monkeypatch):
-    looked_up = []
-    lookup = Lexicon.lookup
+    """One read of the lexicon's token table per token, and no other lookup."""
+    read = []
 
-    def counted(self, token):
-        looked_up.append(token)
-        return lookup(self, token)
+    class Counted(dict):
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(Lexicon, "lookup", counted)
+    def lookup(self, token):
+        raise AssertionError(f"{token!r} classified a second time")
+
+    monkeypatch.setattr(lexicon, "tokens", Counted(lexicon.tokens))
+    monkeypatch.setattr(Lexicon, "lookup", lookup)
     analyze_article(article1, lexicon)
-    words = [
-        token
-        for text in segment(article1.body)
-        for token in tokenize(text, 1).tokens
-        if WORD_RE.search(token)
+    assert read == [
+        token for text in segment(article1.body) for token in tokenize(text, 1).tokens
     ]
-    assert looked_up == words

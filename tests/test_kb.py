@@ -52,6 +52,15 @@ def test_reingest_rejected_and_kb_unchanged(lexicon, article1):
     assert kbmod.dumps(kb) == kbmod.dumps(snapshot)
 
 
+def test_ingest_folds_into_the_cumulative_ledger_in_place(lexicon, article1, article2):
+    kb = KnowledgeBase()
+    ingest(kb, article1, lexicon)
+    cumulative = kb.cumulative
+    ingest(kb, article2, lexicon)
+    assert kb.cumulative is cumulative  # not a rebuilt copy per article
+    assert cumulative.cell("k", "andi") == Cell(-7, 7)  # (-6, 6) from article 1, (-1, 1) from 2
+
+
 def test_ingest_both_articles(trained_kb):
     assert history_entries(trained_kb.history, "k", "andi") == [
         ("1", Fraction(-1)),

@@ -38,6 +38,11 @@ def article2_ledger(lexicon, article2):
     return apply_all(analyze_article(article2, lexicon), scope=ARTICLE)
 
 
+@pytest.fixture()
+def article1_cumulative(lexicon, article1):
+    return apply_all(analyze_article(article1, lexicon), scope=CUMULATIVE)
+
+
 def test_apply_single_record():
     ledger = PolarityLedger(ARTICLE)
     ledger.apply(record("kpk", "andi", -1))
@@ -114,8 +119,8 @@ def test_article_score_matches_brute_force():
             assert article_score(ledger, whom) == brute_article_score(records, whom)
 
 
-def test_outlet_view_after_article1(article1_ledger):
-    view = outlet_view(article1_ledger.as_scope(CUMULATIVE), "k", "andi")
+def test_outlet_view_after_article1(article1_cumulative):
+    view = outlet_view(article1_cumulative, "k", "andi")
     assert view == Cell(-7, 7)
 
 
@@ -124,14 +129,15 @@ def test_outlet_view_only_outlet_statements():
     assert outlet_view(ledger, "k", "x") == ledger.cell("k", "x")
 
 
-def test_outlet_view_article2_componentwise(article2_ledger):
+def test_outlet_view_article2_componentwise(lexicon, article2):
     # Componentwise sum over the three speakers: (-1+1+2, 1+1+2).
-    view = outlet_view(article2_ledger.as_scope(CUMULATIVE), "k", "andi")
+    cumulative = apply_all(analyze_article(article2, lexicon), scope=CUMULATIVE)
+    view = outlet_view(cumulative, "k", "andi")
     assert view == Cell(2, 4)
 
 
-def test_outlet_view_never_mutates(article1_ledger):
-    cumulative = article1_ledger.as_scope(CUMULATIVE)
+def test_outlet_view_never_mutates(article1_cumulative):
+    cumulative = article1_cumulative
     before = {key: cell for key, cell in cumulative.items()}
     outlet_view(cumulative, "k", "andi")
     outlet_view(cumulative, "k", "deddy")
@@ -242,8 +248,8 @@ def test_matrix_direct_grid(article1_ledger):
     )
 
 
-def test_matrix_outlet_view_grid(article1_ledger):
-    cumulative = article1_ledger.as_scope(CUMULATIVE)
+def test_matrix_outlet_view_grid(article1_cumulative):
+    cumulative = article1_cumulative
     polarity = format_matrix(cumulative, "k", value="p", with_outlet_view=True)
     counts = format_matrix(cumulative, "k", value="s", with_outlet_view=True)
     assert polarity == (

@@ -218,3 +218,21 @@ def test_programmatic_validation():
         Lexicon("k", opinion_entries=[OpinionEntry("x", 0)])
     with pytest.raises(DuplicateSurface):
         Lexicon("k", entities=[EntityEntry("k")])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"entities": [EntityEntry("ANDI", ("pak andi",))]},  # its alias became a plain 'ANDI'
+        {"entities": [EntityEntry("andi", ("Pak Andi",))]},
+        {"entities": [EntityEntry("hakim  agung", ("agung",))]},  # an id is one word
+        {"entities": [EntityEntry("hakim agung")]},
+        {"opinion_entries": [OpinionEntry("Baik", 1)]},
+        {"stopwords": ["Si"]},
+    ],
+)
+def test_programmatic_surfaces_that_cannot_match_rejected(fields):
+    # Tokens are lowercase words, so these could never match any text.
+    with pytest.raises(LexiconError) as err:
+        Lexicon("k", **fields)
+    assert err.value.line is None

@@ -6,8 +6,8 @@ punctuation, terminators with and without whitespace after them, and
 ASCII and non-ASCII whitespace.  The lexicons declare nested and
 overlapping multi-word aliases, an id whose aliases share no word with
 it (text spells it ``x.y``, two plain words), punctuation declared as a
-stopword and an opinion, and (built directly, not loaded) canonical ids
-that are not lowercase or are several words.
+stopword and an opinion, and (built directly, not loaded) aliases with
+runs of whitespace between their words.
 Per body the library must give the oracle's sentences, tokens, kept and
 resolved words with their classes, alias hits and statement records.
 """
@@ -63,8 +63,7 @@ xy : foo , foo bar
 ünal : ısmail ünal , çelik
 """.splitlines())
 
-# Canonical ids the loader would have lowercased: a replaced alias reads
-# as whatever its canonical id reads as.
+# Built in code: the table keys an alias by its words joined with one space.
 DIRECT = Lexicon(
     "k",
     opinion_entries=[OpinionEntry("baik", 1), OpinionEntry("buruk", -1)],
@@ -72,9 +71,9 @@ DIRECT = Lexicon(
     stopwords=["si"],
     reporting_verbs=["berkata"],
     entities=[
-        EntityEntry("ANDI", ("andi", "pak andi")),
-        EntityEntry("SI", ("foo",)),
-        EntityEntry("hakim  agung", ("agung",)),
+        EntityEntry("andi", ("pak  andi",)),
+        EntityEntry("xy", ("foo", "foo\tbar")),
+        EntityEntry("hakim", ("hakim   agung", "agung")),
         EntityEntry("kpk", ("komisi", "komisi pemberantasan korupsi")),
     ],
 )
@@ -107,7 +106,7 @@ sentence = st.tuples(
 bodies = st.lists(sentence, max_size=6).map(
     lambda sentences: "".join("".join(f + s for f, s in words) + end for words, end in sentences)
 )
-IDS = ("andi", "kpk", "ani", "hakim", "majelis", "p", "s", "xy", "ünal", "ANDI", "SI")
+IDS = ("andi", "kpk", "ani", "hakim", "majelis", "p", "s", "xy", "ünal")
 priors = st.lists(
     st.tuples(st.sampled_from(("k",) * 4 + IDS), st.sampled_from(IDS), st.sampled_from((-1, 1))),
     max_size=30,
@@ -173,7 +172,7 @@ def check_article(body, lexicon, triples):
 @example(body="Andi baik . Komisi\x1cburuk. ÇELİK baik?!  ısmail  ÜNAL buruk",
          lexicon=LOADED, triples=[("k", "ünal", -1)])
 @example(body="pak andi berkata foo baik. agung tidak buruk. si komisi baik!",
-         lexicon=DIRECT, triples=[("ANDI", "kpk", -1)])
+         lexicon=DIRECT, triples=[("andi", "kpk", -1)])
 def test_pipeline_matches_oracle(body, lexicon, triples):
     check_stages(body, lexicon)
     check_article(body, lexicon, triples)
