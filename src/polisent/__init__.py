@@ -3,58 +3,26 @@
 Reads news articles, extracts (who, whom, value) statements about named
 figures, accumulates them in sparse polarity/count matrices, and scores
 speakers, articles, and outlets with exact rationals.
+
+This package exports the names below; everything else lives in its
+submodule (``polisent.lexicon``, ``textpipe``, ``analyzer``, ``ledger``,
+``kb``, ``errors``, ``cli``).
 """
 
 from . import kb
-from .analyzer import StatementRecord, analyze_article, trace
-from .errors import (
-    CorpusError,
-    CorruptDocument,
-    DuplicateArticle,
-    DuplicateSurface,
-    InvalidValence,
-    LexiconError,
-    LexiconMismatch,
-    MalformedLine,
-    PolisentError,
-    ScopeMismatch,
-    VersionMismatch,
-)
-from .kb import FORMAT_VERSION, IngestReport, KnowledgeBase, ingest
+from .analyzer import analyze_article, trace
+from .errors import CorruptDocument, PolisentError
+from .kb import KnowledgeBase, ingest
 from .ledger import (
-    ARTICLE,
-    CUMULATIVE,
     NEUTRAL,
     ArticleScoreHistory,
     Cell,
-    PolarityLedger,
     article_score,
-    classify_score,
-    format_matrix,
     merge,
     outlet_tendency,
     outlet_view,
     speaker_score,
 )
-from .lexicon import (
-    EntityEntry,
-    Lexicon,
-    OpinionEntry,
-    TokenClass,
-    load_lexicon,
-    load_lexicon_file,
-)
-from .textpipe import (
-    RawArticle,
-    Sentence,
-    cleanse,
-    load_corpus,
-    parse_article,
-    process,
-    read_article,
-    resolve,
-    segment,
-    tokenize,
-)
+from .lexicon import load_lexicon_file
 
 __version__ = "0.1.0"

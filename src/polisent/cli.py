@@ -22,13 +22,11 @@ import sys
 from pathlib import Path
 
 from . import kb as kbmod
-from .analyzer import analyze_article, trace
+from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
 from .errors import CorruptDocument, DuplicateArticle, PolisentError
 from .ledger import (
-    ARTICLE,
     NEUTRAL,
-    PolarityLedger,
-    article_score,
+    article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
     classify_score,
     format_matrix,
     outlet_tendency,
@@ -121,14 +119,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     kb = _load_kb_or_empty(args.kb)
     for article in load_corpus(args.corpus):
         try:
-            report = kbmod.ingest(kb, article, lexicon)
+            scored = kbmod.ingest(kb, article, lexicon)
         except DuplicateArticle:
             print(
                 f"warning: skipping already processed article {article.article_id}",
                 file=sys.stderr,
             )
             continue
-        for whom, score in sorted(report.scores.items()):
+        for whom, score in scored.scores.items():
             print(f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})")
     for outlet, whom in kb.history.keys():
         tendency = outlet_tendency(kb.history, whom, outlet=outlet)
@@ -140,18 +138,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     lexicon = load_lexicon_file(args.lexicon)
     kb = _load_kb_or_empty(args.kb)
-    if kb.lexicon_fingerprint is not None and kb.lexicon_fingerprint != lexicon.fingerprint():
-        print("error: knowledge base was built with a different lexicon", file=sys.stderr)
-        return 2
+    kbmod.check_lexicon(kb, lexicon)
     article = read_article(args.article)
-    records = analyze_article(article, lexicon, prior=kb.cumulative)
+    scored = kbmod.score_article(article, lexicon, kb.cumulative)
     if args.trace:
-        print(trace(records, article.outlet_id), end="")
-    article_ledger = PolarityLedger(ARTICLE)
-    for record in records:
-        article_ledger.apply(record)
-    for whom in sorted(article_ledger.whoms()):
-        score = article_score(article_ledger, whom)
+        print(trace(scored.records, article.outlet_id), end="")
+    for whom, score in scored.scores.items():
         print(f"{whom} {_fmt_score(score)} ({classify_score(score)})")
     return 0
 
@@ -224,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="print outlet tendencies")
     report.add_argument("--kb", required=True)
-    report.add_argument("--entity", help="restrict to one target entity")
+    report.add_argument("--entity", type=str.lower, help="restrict to one target entity")
     report.add_argument("--format", choices=("tsv", "json"), default="tsv")
     report.add_argument("--matrices", action="store_true",
                         help="append matrix grids (tsv only)")
@@ -234,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     kb_sub = kb.add_subparsers(dest="subcommand", required=True)
     export = kb_sub.add_parser("export", help="print polarity and count matrices")
     export.add_argument("--kb", required=True)
-    export.add_argument("--outlet", help="outlet id for the derived view column")
+    export.add_argument("--outlet", type=str.lower,
+                        help="outlet id for the derived view column")
     export.set_defaults(func=cmd_kb_export)
 
     return parser

@@ -37,10 +37,6 @@ class CorpusError(PolisentError):
     """Unreadable or malformed article file."""
 
 
-class ScopeMismatch(PolisentError):
-    """Attempt to combine ledgers with different scope tags."""
-
-
 class DuplicateArticle(PolisentError):
     """Article id already present in the knowledge base."""
 

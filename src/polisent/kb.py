@@ -30,9 +30,9 @@ so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .analyzer import StatementRecord, analyze_article
 from .errors import (
@@ -42,8 +42,6 @@ from .errors import (
     VersionMismatch,
 )
 from .ledger import (
-    ARTICLE,
-    CUMULATIVE,
     ArticleScoreHistory,
     Cell,
     PolarityLedger,
@@ -71,7 +69,7 @@ class KnowledgeBase:
         processed: set[str] | None = None,
         lexicon_fingerprint: str | None = None,
     ):
-        self.cumulative = cumulative if cumulative is not None else PolarityLedger(CUMULATIVE)
+        self.cumulative = cumulative if cumulative is not None else PolarityLedger()
         self.history = history if history is not None else ArticleScoreHistory()
         self.processed = set(processed) if processed is not None else set()
         self.lexicon_fingerprint = lexicon_fingerprint
@@ -93,52 +91,58 @@ class KnowledgeBase:
         )
 
 
-@dataclass
-class IngestReport:
-    """Per-article result: extracted statements, matrices and scores."""
+class ScoredArticle(NamedTuple):
+    """One article's statements, its per-article ledger and its score per target."""
 
-    article_id: str
-    records: list[StatementRecord] = field(default_factory=list)
-    scores: dict[str, Fraction] = field(default_factory=dict)
+    records: list[StatementRecord]
+    ledger: PolarityLedger
+    scores: dict[str, Fraction]  # in target order
 
 
-def ingest(kb: KnowledgeBase, article: RawArticle, lexicon: Lexicon) -> IngestReport:
-    """Analyze one article and fold it into the knowledge base.
-
-    The cumulative ledger as of the call is the prior for the sarcasm
-    check.  Article scores are recorded for every target the article
-    mentions, then the per-article cells are added into the cumulative
-    ledger in place.  Mutates ``kb``; raises before any mutation on
-    duplicate articles or lexicon mismatch.
-    """
+def check_lexicon(kb: KnowledgeBase, lexicon: Lexicon) -> str:
+    """The lexicon's fingerprint; raises unless ``kb`` is new or was built with it."""
     fingerprint = lexicon.fingerprint()
     if kb.lexicon_fingerprint is not None and kb.lexicon_fingerprint != fingerprint:
         raise LexiconMismatch(
             "knowledge base was built with a different lexicon "
             f"({kb.lexicon_fingerprint[:12]}... != {fingerprint[:12]}...)"
         )
+    return fingerprint
+
+
+def score_article(article: RawArticle, lexicon: Lexicon, prior: PolarityLedger) -> ScoredArticle:
+    """Extract the article's statements, ``prior`` feeding the sarcasm check, and score them.
+
+    The one scoring path: ``ingest`` records what this returns and
+    ``analyze`` prints it.
+    """
+    records = analyze_article(article, lexicon, prior=prior)
+    ledger = PolarityLedger()
+    for record in records:
+        ledger.apply(record)
+    scores = {whom: article_score(ledger, whom) for whom in sorted(ledger.whoms())}
+    return ScoredArticle(records, ledger, scores)
+
+
+def ingest(kb: KnowledgeBase, article: RawArticle, lexicon: Lexicon) -> ScoredArticle:
+    """Score one article against the knowledge base and fold it in.
+
+    The cumulative ledger as of the call is the prior.  Article scores
+    are recorded for every target the article mentions, then the
+    per-article cells are added into the cumulative ledger in place.
+    Mutates ``kb``; raises before any mutation on duplicate articles or
+    lexicon mismatch.
+    """
+    fingerprint = check_lexicon(kb, lexicon)
     if article.article_id in kb.processed:
         raise DuplicateArticle(article.article_id)
-
-    records = analyze_article(article, lexicon, prior=kb.cumulative)
-    article_ledger = PolarityLedger(ARTICLE)
-    for record in records:
-        article_ledger.apply(record)
-
-    scores: dict[str, Fraction] = {}
-    for whom in sorted(article_ledger.whoms()):
-        score = article_score(article_ledger, whom)
-        scores[whom] = score
+    scored = score_article(article, lexicon, kb.cumulative)
+    for whom, score in scored.scores.items():
         kb.history.record(article.outlet_id, whom, article.article_id, score)
-
-    kb.cumulative.add(article_ledger)
+    kb.cumulative.add(scored.ledger)
     kb.processed.add(article.article_id)
     kb.lexicon_fingerprint = fingerprint
-    return IngestReport(
-        article_id=article.article_id,
-        records=records,
-        scores=scores,
-    )
+    return scored
 
 
 def dumps(kb: KnowledgeBase) -> str:
@@ -257,7 +261,7 @@ def loads(text: str) -> KnowledgeBase:
     raw_cells = document["cells"]
     if type(raw_cells) is not list:
         raise CorruptDocument("cells", "expected an array")
-    cumulative = PolarityLedger(CUMULATIVE)
+    cumulative = PolarityLedger()
     cells = cumulative._cells
     for i, raw in enumerate(raw_cells):
         if type(raw) is not dict or raw.keys() != _CELL_KEYS:

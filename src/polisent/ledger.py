@@ -12,11 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple
 
-from .errors import ScopeMismatch
-
-ARTICLE = "article"
-CUMULATIVE = "cumulative"
-
 
 class _NeutralType:
     """Singleton marker for "no evidence either way"."""
@@ -45,10 +40,7 @@ class Cell(NamedTuple):
 class PolarityLedger:
     """Associative (who, whom) -> (p, s) store; absent keys read as (0, 0)."""
 
-    def __init__(self, scope: str = CUMULATIVE):
-        if scope not in (ARTICLE, CUMULATIVE):
-            raise ValueError(f"unknown ledger scope {scope!r}")
-        self.scope = scope
+    def __init__(self):
         self._cells: dict[tuple[str, str], Cell] = {}
 
     def cell(self, who: str, whom: str) -> Cell:
@@ -85,17 +77,15 @@ class PolarityLedger:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolarityLedger):
             return NotImplemented
-        return self.scope == other.scope and self._cells == other._cells
+        return self._cells == other._cells
 
     def __repr__(self) -> str:
-        return f"PolarityLedger(scope={self.scope!r}, cells={len(self._cells)})"
+        return f"PolarityLedger(cells={len(self._cells)})"
 
 
 def merge(a: PolarityLedger, b: PolarityLedger) -> PolarityLedger:
-    """Componentwise sum over the union of keys.  Scopes must agree."""
-    if a.scope != b.scope:
-        raise ScopeMismatch(f"cannot merge {a.scope!r} ledger with {b.scope!r} ledger")
-    merged = PolarityLedger(a.scope)
+    """Componentwise sum over the union of keys, as a new ledger."""
+    merged = PolarityLedger()
     merged._cells = dict(a._cells)
     merged.add(b)
     return merged

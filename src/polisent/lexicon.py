@@ -1,14 +1,18 @@
 """Word database: opinion words, negations, stopwords, reporting verbs, entities.
 
 The database is loaded from a line-oriented UTF-8 text file with
-``#`` comments and bracketed section headers::
+bracketed section headers.  A comment is a whole line starting with
+``#``; a ``#`` after other text on a line is part of that line::
 
     [outlet] k
-    [stopwords]     # one token per line
+    [stopwords]
+    # one token per line
     [negations]
     [reporting]
-    [opinions]      # lines "<surface> <+1|-1>"
-    [entities]      # lines "<canonical_id> : <alias> , <alias> , ..."
+    [opinions]
+    # lines "<surface> <+1|-1>"
+    [entities]
+    # lines "<canonical_id> : <alias> , <alias> , ..."
 
 Every surface form is normalized to lowercase and may be declared only
 once, in one category.  A canonical entity id acts as its own implicit

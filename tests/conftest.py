@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from polisent import KnowledgeBase, ingest, load_corpus, load_lexicon_file
+from polisent.kb import KnowledgeBase, ingest
+from polisent.lexicon import load_lexicon_file
+from polisent.textpipe import load_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"

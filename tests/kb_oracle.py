@@ -15,9 +15,9 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from polisent import ArticleScoreHistory, Cell, CorruptDocument, KnowledgeBase, VersionMismatch
-from polisent.kb import FORMAT_VERSION
-from polisent.ledger import CUMULATIVE, PolarityLedger
+from polisent.errors import CorruptDocument, VersionMismatch
+from polisent.kb import FORMAT_VERSION, KnowledgeBase
+from polisent.ledger import ArticleScoreHistory, Cell, PolarityLedger
 
 _TOP_KEYS = {"version", "lexicon_fingerprint", "processed", "cells", "history"}
 
@@ -112,7 +112,7 @@ def loads(text: str) -> KnowledgeBase:
 
     raw_cells = document["cells"]
     _expect(isinstance(raw_cells, list), "cells", "expected an array")
-    cumulative = PolarityLedger(CUMULATIVE)
+    cumulative = PolarityLedger()
     for i, raw in enumerate(raw_cells):
         path = f"cells[{i}]"
         raw = _expect_keys(raw, path, {"who", "whom", "p", "s"})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from polisent import NEUTRAL, ArticleScoreHistory, Cell, PolarityLedger
+from polisent.ledger import NEUTRAL, ArticleScoreHistory, Cell, PolarityLedger
 
 
 def scores(history: ArticleScoreHistory, whom: str, outlet: str | None = None) -> list[Fraction]:

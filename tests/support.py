@@ -5,18 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polisent import (
-    ARTICLE,
-    CUMULATIVE,
-    EntityEntry,
-    KnowledgeBase,
-    Lexicon,
-    NEUTRAL,
-    OpinionEntry,
-    PolarityLedger,
-    RawArticle,
-    StatementRecord,
-)
+from polisent.analyzer import StatementRecord
+from polisent.cli import main
+from polisent.kb import KnowledgeBase
+from polisent.ledger import NEUTRAL, PolarityLedger
+from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry
+from polisent.textpipe import RawArticle
 
 IDS = ["k", "andi", "kpk", "deddy", "km", "ahmad", "p1", "p2"]
 
@@ -42,6 +36,16 @@ _NEGATIONS = sorted(MINI_LEXICON.negation_words)
 _REPORTING = sorted(MINI_LEXICON.reporting_verbs)
 
 
+def run_cli(capsys, *argv):
+    """Run the command line in this process: exit code, stdout and stderr."""
+    try:
+        code = main([str(arg) for arg in argv])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def history_entries(history, outlet: str, whom: str) -> list[tuple[str, Fraction]]:
     """The ``(article_id, score)`` list of one history pair; empty if it has none."""
     return dict(history.items()).get((outlet, whom), [])
@@ -62,8 +66,9 @@ def random_records(rng: random.Random, n: int, article_id: str = "a") -> list[St
     return records
 
 
-def apply_all(records, scope: str = ARTICLE) -> PolarityLedger:
-    ledger = PolarityLedger(scope)
+def apply_all(records, scope=None) -> PolarityLedger:
+    """A ledger of ``records``; ``scope`` is ignored (``test_acceptance.py`` passes one)."""
+    ledger = PolarityLedger()
     for record in records:
         ledger.apply(record)
     return ledger
@@ -104,13 +109,13 @@ def random_article(rng: random.Random, article_id: str = "a",
 
 
 def random_prior(rng: random.Random, n: int = 12) -> PolarityLedger:
-    return apply_all(random_records(rng, n), scope=CUMULATIVE)
+    return apply_all(random_records(rng, n))
 
 
 def random_kb(rng: random.Random) -> KnowledgeBase:
     """Directly assembled knowledge base honoring every invariant."""
     processed = {f"a{i}" for i in range(rng.randint(0, 6))}
-    ledger = PolarityLedger(CUMULATIVE)
+    ledger = PolarityLedger()
     if processed:
         for record in random_records(rng, rng.randint(0, 20)):
             ledger.apply(record)

@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from polisent import (
-    CUMULATIVE,
-    Lexicon,
-    PolarityLedger,
-    RawArticle,
-    StatementRecord,
-    analyze_article,
-    segment,
-    tokenize,
-    trace,
-)
+from polisent.analyzer import StatementRecord, analyze_article, trace
+from polisent.ledger import PolarityLedger
+from polisent.lexicon import Lexicon
+from polisent.textpipe import RawArticle, segment, tokenize
 from support import MINI_LEXICON, random_article, random_prior
 
 
@@ -93,7 +86,7 @@ def test_self_statement_allowed():
 
 
 def test_sarcasm_flag_from_negative_prior():
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     for _ in range(3):
         prior.apply(StatementRecord("x", 1, "out", "e2", -1))
     records = analyze_article(art("e2 is good."), MINI_LEXICON, prior=prior)
@@ -103,21 +96,21 @@ def test_sarcasm_flag_from_negative_prior():
 
 
 def test_no_sarcasm_without_negative_prior():
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     prior.apply(StatementRecord("x", 1, "out", "e2", 1))
     records = analyze_article(art("e2 is good."), MINI_LEXICON, prior=prior)
     assert records[0].sarcasm is False
 
 
 def test_sarcasm_checks_speaker_target_pair():
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     prior.apply(StatementRecord("x", 1, "e1", "e2", -1))
     records = analyze_article(art("e2 is good. e1 said e2 is good."), MINI_LEXICON, prior=prior)
     assert [r.sarcasm for r in records] == [False, True]
 
 
 def test_sarcasm_probe_after_training(lexicon, article1):
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     for record in analyze_article(article1, lexicon):
         prior.apply(record)
     assert prior.cell("k", "andi").p == -6  # direct inspection of the prior cell
@@ -128,7 +121,7 @@ def test_sarcasm_probe_after_training(lexicon, article1):
 
 
 def test_negative_statements_never_flagged():
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     prior.apply(StatementRecord("x", 1, "out", "e2", -1))
     records = analyze_article(art("e2 is bad."), MINI_LEXICON, prior=prior)
     assert records[0].sarcasm is False
@@ -176,7 +169,7 @@ def test_trace_golden_article1(lexicon, article1, golden_trace1):
 
 
 def test_trace_golden_article2(lexicon, article1, article2, golden_trace2):
-    prior = PolarityLedger(CUMULATIVE)
+    prior = PolarityLedger()
     for record in analyze_article(article1, lexicon):
         prior.apply(record)
     records = analyze_article(article2, lexicon, prior=prior)

@@ -7,21 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from polisent.cli import main
-
 from conftest import FIXTURES
+from support import run_cli as run
 
 LEXICON = str(FIXTURES / "lexicon.txt")
 CORPUS = str(FIXTURES / "corpus")
-
-
-def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.fixture()
@@ -182,6 +172,15 @@ def test_report_entity_filter(capsys, trained_kb_path):
     ]
 
 
+def test_report_entity_is_lowercased(capsys, trained_kb_path):
+    # Every stored id is lowercase, as the lexicon and article headers make it.
+    _, lower, _ = run(capsys, "report", "--kb", trained_kb_path, "--entity", "deddy")
+    code, upper, _ = run(capsys, "report", "--kb", trained_kb_path, "--entity", "DEDDY")
+    assert code == 0
+    assert upper == lower
+    assert len(upper.splitlines()) == 2
+
+
 def test_report_json_matches_tsv_values(capsys, trained_kb_path):
     code, out, _ = run(capsys, "report", "--kb", trained_kb_path, "--format", "json")
     assert code == 0
@@ -222,6 +221,14 @@ def test_kb_export_matrices(capsys, trained_kb_path):
     assert "andi\t-7\t2\t1" in direct_m  # cumulative direct row for andi
     view_m = blocks[3]
     assert "andi\t-5\t2\t1" in view_m  # outlet column folds all speakers in
+
+
+def test_kb_export_outlet_is_lowercased(capsys, trained_kb_path):
+    _, lower, _ = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "k")
+    code, upper, _ = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "K")
+    assert code == 0
+    assert upper == lower
+    assert "\tK\t" not in upper and "\nK\t" not in upper
 
 
 def test_report_matrices_flag(capsys, trained_kb_path):

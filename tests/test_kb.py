@@ -6,21 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from polisent import (
-    Cell,
-    CorruptDocument,
-    DuplicateArticle,
-    KnowledgeBase,
-    LexiconMismatch,
-    NEUTRAL,
-    VersionMismatch,
-    ingest,
-    kb as kbmod,
-    load_lexicon,
-    outlet_tendency,
-    outlet_view,
-)
-from support import history_entries, random_kb
+from polisent import kb as kbmod
+from polisent.analyzer import StatementRecord
+from polisent.errors import CorruptDocument, DuplicateArticle, LexiconMismatch, VersionMismatch
+from polisent.kb import KnowledgeBase, ingest
+from polisent.ledger import NEUTRAL, Cell, outlet_tendency, outlet_view
+from polisent.lexicon import load_lexicon
+from support import MINI_LEXICON, history_entries, random_article, random_kb, run_cli
 
 
 def roundtrip(kb):
@@ -77,6 +69,56 @@ def test_lexicon_mismatch_rejected(lexicon, article1, article2):
     other = load_lexicon(io.StringIO("[outlet] k\n[opinions]\nbaik +1\n"))
     with pytest.raises(LexiconMismatch):
         ingest(kb, article2, other)
+
+
+def test_analyze_prints_the_scores_train_records(capsys, tmp_path):
+    # One scoring path: ``analyze`` against the KB as it stands prints the
+    # score lines ``train`` then prints for the same article.
+    rng = random.Random(31)
+    lexicon = tmp_path / "mini.txt"
+    lexicon.write_text(MINI_LEXICON.dumps(), encoding="utf-8")
+    ids = [MINI_LEXICON.outlet_id] + [e.canonical_id for e in MINI_LEXICON.entities]
+    kb = KnowledgeBase(lexicon_fingerprint=MINI_LEXICON.fingerprint())
+    for i in range(30):  # a random prior over the lexicon's ids feeds the sarcasm check
+        kb.cumulative.apply(StatementRecord(
+            article_id="prior", sentence_index=i + 1, who=rng.choice(ids),
+            whom=rng.choice(ids), value=rng.choice((-1, 1)),
+        ))
+    kb_path = tmp_path / "mini.kb.json"
+    kb_path.write_text(kbmod.dumps(kb), encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    scored = 0
+    for i in range(40):
+        article = random_article(rng, article_id=f"a{i}")
+        path = corpus / f"{article.article_id}.txt"
+        path.write_text(f"@article {article.article_id} @outlet {article.outlet_id}\n"
+                        f"{article.body}\n", encoding="utf-8")
+        code, analyzed, _ = run_cli(capsys, "analyze", path, "--lexicon", lexicon,
+                                    "--kb", kb_path)
+        assert code == 0
+        code, trained, _ = run_cli(capsys, "train", "--corpus", corpus, "--lexicon", lexicon,
+                                   "--kb", kb_path)
+        assert code == 0
+        prefix = f"{article.article_id} "
+        assert analyzed.splitlines() == [
+            line[len(prefix):] for line in trained.splitlines() if line.startswith(prefix)
+        ]
+        scored += bool(analyzed)
+        path.unlink()
+    assert scored > 20
+
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_text("[outlet] out\n[opinions]\ngood +1\n", encoding="utf-8")
+    path.write_text("@article new @outlet out\ne1 good.\n", encoding="utf-8")
+    train_code, out, train_err = run_cli(capsys, "train", "--corpus", corpus,
+                                         "--lexicon", foreign, "--kb", kb_path)
+    assert (train_code, out) == (2, "")
+    analyze_code, out, analyze_err = run_cli(capsys, "analyze", path, "--lexicon", foreign,
+                                             "--kb", kb_path)
+    assert (analyze_code, out) == (2, "")
+    assert analyze_err == train_err
+    assert train_err.startswith("error: knowledge base was built with a different lexicon (")
 
 
 def test_cells_section_has_six_distinct_keys(trained_kb):

@@ -18,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kb_oracle as oracle
-from polisent import Cell, KnowledgeBase, PolisentError
 from polisent import kb as kbmod
+from polisent.errors import PolisentError
+from polisent.kb import KnowledgeBase
+from polisent.ledger import Cell
 
 # Strings that the encoder must escape or pass through unchanged.
 AWKWARD = ("k", "andi", "Ände", "合", "é́", 'a"b', "a\\b", "\n", "\t\x00\x1f", "\x7f",

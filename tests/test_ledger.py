@@ -3,16 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from polisent import (
-    ARTICLE,
-    CUMULATIVE,
+from polisent.analyzer import StatementRecord, analyze_article
+from polisent.ledger import (
+    NEUTRAL,
     ArticleScoreHistory,
     Cell,
-    NEUTRAL,
     PolarityLedger,
-    ScopeMismatch,
-    StatementRecord,
-    analyze_article,
     article_score,
     classify_score,
     format_matrix,
@@ -30,21 +26,21 @@ def record(who, whom, value):
 
 @pytest.fixture()
 def article1_ledger(lexicon, article1):
-    return apply_all(analyze_article(article1, lexicon), scope=ARTICLE)
+    return apply_all(analyze_article(article1, lexicon))
 
 
 @pytest.fixture()
 def article2_ledger(lexicon, article2):
-    return apply_all(analyze_article(article2, lexicon), scope=ARTICLE)
+    return apply_all(analyze_article(article2, lexicon))
 
 
 @pytest.fixture()
 def article1_cumulative(lexicon, article1):
-    return apply_all(analyze_article(article1, lexicon), scope=CUMULATIVE)
+    return apply_all(analyze_article(article1, lexicon))
 
 
 def test_apply_single_record():
-    ledger = PolarityLedger(ARTICLE)
+    ledger = PolarityLedger()
     ledger.apply(record("kpk", "andi", -1))
     assert ledger.cell("kpk", "andi") == Cell(-1, 1)
     assert ledger.cell("andi", "kpk") == Cell(0, 0)  # absent keys read as zero
@@ -60,7 +56,7 @@ def test_apply_rejects_bad_value():
     class Fake:
         who, whom, value = "a", "b", 2
 
-    ledger = PolarityLedger(ARTICLE)
+    ledger = PolarityLedger()
     with pytest.raises(ValueError):
         ledger.apply(Fake())
 
@@ -125,13 +121,13 @@ def test_outlet_view_after_article1(article1_cumulative):
 
 
 def test_outlet_view_only_outlet_statements():
-    ledger = apply_all([record("k", "x", 1)], scope=CUMULATIVE)
+    ledger = apply_all([record("k", "x", 1)])
     assert outlet_view(ledger, "k", "x") == ledger.cell("k", "x")
 
 
 def test_outlet_view_article2_componentwise(lexicon, article2):
     # Componentwise sum over the three speakers: (-1+1+2, 1+1+2).
-    cumulative = apply_all(analyze_article(article2, lexicon), scope=CUMULATIVE)
+    cumulative = apply_all(analyze_article(article2, lexicon))
     view = outlet_view(cumulative, "k", "andi")
     assert view == Cell(2, 4)
 
@@ -198,7 +194,7 @@ def test_history_set_entries_matches_record():
 
 def test_merge_identity_and_commutativity():
     rng = random.Random(9)
-    empty = PolarityLedger(ARTICLE)
+    empty = PolarityLedger()
     for _ in range(50):
         a = apply_all(random_records(rng, rng.randint(0, 15)))
         b = apply_all(random_records(rng, rng.randint(0, 15)))
@@ -214,11 +210,6 @@ def test_merge_equals_sequential_apply():
         cut = rng.randint(0, len(records))
         merged = merge(apply_all(records[:cut]), apply_all(records[cut:]))
         assert merged == apply_all(records)
-
-
-def test_merge_scope_mismatch():
-    with pytest.raises(ScopeMismatch):
-        merge(PolarityLedger(ARTICLE), PolarityLedger(CUMULATIVE))
 
 
 def test_invariants_after_random_streams():

@@ -6,11 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ledger_oracle as oracle
-from polisent import (
-    CUMULATIVE,
+from polisent.analyzer import StatementRecord
+from polisent.ledger import (
     ArticleScoreHistory,
     PolarityLedger,
-    StatementRecord,
     format_matrix,
     outlet_tendency,
     outlet_view,
@@ -48,7 +47,7 @@ def build_history(entries) -> ArticleScoreHistory:
 
 
 def build_ledger(triples) -> PolarityLedger:
-    ledger = PolarityLedger(CUMULATIVE)
+    ledger = PolarityLedger()
     for i, (who, whom, value) in enumerate(triples):
         ledger.apply(StatementRecord("a", i + 1, who, whom, value))
     return ledger

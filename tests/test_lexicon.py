@@ -2,19 +2,9 @@ import io
 
 import pytest
 
-from polisent import (
-    DuplicateSurface,
-    EntityEntry,
-    InvalidValence,
-    Lexicon,
-    LexiconError,
-    MalformedLine,
-    OpinionEntry,
-    cleanse,
-    load_lexicon,
-    resolve,
-    tokenize,
-)
+from polisent.errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
+from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry, load_lexicon
+from polisent.textpipe import cleanse, resolve, tokenize
 
 
 def loads(text):

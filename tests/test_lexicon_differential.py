@@ -15,15 +15,9 @@ from hypothesis import strategies as st
 
 import lexicon_oracle as oracle
 from conftest import FIXTURES
-from polisent import (
-    DuplicateSurface,
-    LexiconError,
-    PolisentError,
-    Sentence,
-    load_lexicon,
-    resolve,
-)
-from polisent.textpipe import Token
+from polisent.errors import DuplicateSurface, LexiconError, PolisentError
+from polisent.lexicon import load_lexicon
+from polisent.textpipe import Sentence, Token, resolve
 
 # Few words, so that declarations collide often.
 WORDS = ("k", "m", "Andi", "andi", "si", "anu", "baik", "BURUK", "tidak", "kata", "satu",

@@ -2,19 +2,9 @@ import re
 
 import pytest
 
-from polisent import (
-    CorpusError,
-    EntityEntry,
-    Lexicon,
-    Sentence,
-    cleanse,
-    load_lexicon,
-    parse_article,
-    process,
-    resolve,
-    segment,
-    tokenize,
-)
+from polisent.errors import CorpusError
+from polisent.lexicon import EntityEntry, Lexicon, load_lexicon
+from polisent.textpipe import Sentence, cleanse, parse_article, process, resolve, segment, tokenize
 
 
 def norms(sentence):
@@ -168,7 +158,7 @@ def test_load_corpus_sorted_by_article_id(tmp_path):
     (tmp_path / "zz.txt").write_text("@article 1 @outlet k\nIsi.", encoding="utf-8")
     (tmp_path / "aa.txt").write_text("@article 2 @outlet k\nIsi.", encoding="utf-8")
     (tmp_path / "mm.txt").write_text("@article 10 @outlet k\nIsi.", encoding="utf-8")
-    from polisent import load_corpus
+    from polisent.textpipe import load_corpus
 
     # String order, not numeric: "10" comes before "2".
     ids = [a.article_id for a in load_corpus(tmp_path)]
@@ -176,7 +166,7 @@ def test_load_corpus_sorted_by_article_id(tmp_path):
 
 
 def test_load_corpus_rejects_missing_dir(tmp_path):
-    from polisent import load_corpus
+    from polisent.textpipe import load_corpus
 
     with pytest.raises(CorpusError):
         load_corpus(tmp_path / "nope")

@@ -16,22 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textpipe_oracle as oracle
-from polisent import (
-    CUMULATIVE,
-    EntityEntry,
-    Lexicon,
-    OpinionEntry,
-    PolarityLedger,
-    RawArticle,
-    StatementRecord,
-    analyze_article,
-    cleanse,
-    load_lexicon,
-    process,
-    resolve,
-    segment,
-    tokenize,
-)
+from polisent.analyzer import StatementRecord, analyze_article
+from polisent.ledger import PolarityLedger
+from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry, load_lexicon
+from polisent.textpipe import RawArticle, cleanse, process, resolve, segment, tokenize
 
 LOADED = load_lexicon("""\
 [outlet] k
@@ -116,7 +104,7 @@ priors = st.lists(
 def prior_ledger(triples) -> PolarityLedger | None:
     if not triples:
         return None
-    ledger = PolarityLedger(CUMULATIVE)
+    ledger = PolarityLedger()
     for i, (who, whom, value) in enumerate(triples):
         ledger.apply(StatementRecord("p", i + 1, who, whom, value))
     return ledger

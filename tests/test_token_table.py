@@ -11,8 +11,8 @@ two contracts the traced benchmark run counts with.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polisent import Sentence, cleanse, load_lexicon, resolve, tokenize
-from polisent.lexicon import STOPWORD, WORD_RE
+from polisent.lexicon import STOPWORD, WORD_RE, load_lexicon
+from polisent.textpipe import Sentence, cleanse, resolve, tokenize
 
 LEXICON = load_lexicon("""\
 [outlet] k

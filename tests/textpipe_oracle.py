@@ -18,8 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from polisent import Lexicon, RawArticle, StatementRecord
-from polisent.lexicon import WORD_RE
+from polisent.analyzer import StatementRecord
+from polisent.lexicon import WORD_RE, Lexicon
+from polisent.textpipe import RawArticle
 
 _TERMINATORS = ".!?"
 _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
