@@ -25,7 +25,6 @@ from . import kb as kbmod
 from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
 from .errors import CorruptDocument, DuplicateArticle, PolisentError
 from .ledger import (
-    NEUTRAL,
     article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
     classify_score,
     format_matrix,
@@ -82,28 +81,21 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
 
 
 def _single_outlet(kb: kbmod.KnowledgeBase, override: str | None) -> str | None:
-    if override:
-        return override
-    outlets = {outlet for outlet, _ in kb.history.keys()}
-    if len(outlets) == 1:
-        return outlets.pop()
-    return None
+    outlets = {outlet for (outlet, _), _ in kb.history.items()}
+    if not override:
+        return outlets.pop() if len(outlets) == 1 else None
+    if override not in outlets:
+        print(f"warning: outlet {override} has no scores in the knowledge base", file=sys.stderr)
+    return override
 
 
 def _print_matrices(kb: kbmod.KnowledgeBase, outlet: str | None) -> None:
-    print("# matrix M (direct)")
-    print(format_matrix(kb.cumulative, outlet or "0", value="p"), end="")
-    print()
-    print("# matrix N (direct)")
-    print(format_matrix(kb.cumulative, outlet or "0", value="s"), end="")
-    if outlet is None:
-        return
-    print()
-    print("# matrix M (outlet view)")
-    print(format_matrix(kb.cumulative, outlet, value="p", with_outlet_view=True), end="")
-    print()
-    print("# matrix N (outlet view)")
-    print(format_matrix(kb.cumulative, outlet, value="s", with_outlet_view=True), end="")
+    grids = [("M", "p", False), ("N", "s", False), ("M", "p", True), ("N", "s", True)]
+    for i, (name, value, view) in enumerate(grids[: 2 if outlet is None else 4]):
+        if i:
+            print()
+        print(f"# matrix {name} ({'outlet view' if view else 'direct'})")
+        print(format_matrix(kb.cumulative, outlet or "0", value, view), end="")
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -128,7 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             continue
         for whom, score in scored.scores.items():
             print(f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})")
-    for outlet, whom in kb.history.keys():
+    for (outlet, whom), _ in kb.history.items():
         tendency = outlet_tendency(kb.history, whom, outlet=outlet)
         print(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
     _save_kb(kb, args.kb)
@@ -149,6 +141,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.matrices and args.format == "json":
+        raise PolisentError("--matrices prints tsv grids; it cannot be used with --format json")
     kb = _load_kb(args.kb)
     rows = []
     by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
@@ -162,7 +156,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "whom": whom,
                 "articles": len(entries),
                 "tendency": str(tendency),
-                "decimal": f"{float(tendency):.4f}" if tendency is not NEUTRAL else "neutral",
+                "decimal": f"{float(tendency):.4f}",
                 "classification": classify_score(tendency),
             }
         )

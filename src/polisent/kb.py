@@ -30,6 +30,7 @@ so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -59,30 +60,14 @@ _PAIR_KEYS = frozenset({"outlet", "whom", "scores"})
 _SCORE_KEYS = frozenset({"article_id", "num", "den"})
 
 
+@dataclass(repr=False)
 class KnowledgeBase:
     """Evolving training state built up one article at a time."""
 
-    def __init__(
-        self,
-        cumulative: PolarityLedger | None = None,
-        history: ArticleScoreHistory | None = None,
-        processed: set[str] | None = None,
-        lexicon_fingerprint: str | None = None,
-    ):
-        self.cumulative = cumulative if cumulative is not None else PolarityLedger()
-        self.history = history if history is not None else ArticleScoreHistory()
-        self.processed = set(processed) if processed is not None else set()
-        self.lexicon_fingerprint = lexicon_fingerprint
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return (
-            self.lexicon_fingerprint == other.lexicon_fingerprint
-            and self.processed == other.processed
-            and self.cumulative == other.cumulative
-            and self.history == other.history
-        )
+    cumulative: PolarityLedger = field(default_factory=PolarityLedger)
+    history: ArticleScoreHistory = field(default_factory=ArticleScoreHistory)
+    processed: set[str] = field(default_factory=set)
+    lexicon_fingerprint: str | None = None
 
     def __repr__(self) -> str:
         return (

@@ -134,13 +134,13 @@ def outlet_view(cumulative_ledger: PolarityLedger, outlet: str, whom: str) -> Ce
 
 
 class ArticleScoreHistory:
-    """Ordered per-(outlet, whom) article scores feeding the outlet tendency."""
+    """Ordered per-(outlet, whom) article scores feeding the outlet tendency.
+
+    A read by target alone (``outlet=None``) scans every pair.
+    """
 
     def __init__(self):
         self._scores: dict[tuple[str, str], list[tuple[str, Fraction]]] = {}
-        # Outlets with at least one score per target, so reads by target
-        # touch only that target's pairs.
-        self._outlets: dict[str, set[str]] = {}
 
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
         if type(score) is not Fraction:  # ingest passes the one article_score built
@@ -150,7 +150,6 @@ class ArticleScoreHistory:
         entries = self._scores.get((outlet, whom))
         if entries is None:
             entries = self._scores[(outlet, whom)] = []
-            self._outlets.setdefault(whom, set()).add(outlet)
         entries.append((article_id, score))
 
     def set_entries(self, outlet: str, whom: str, entries: list[tuple[str, Fraction]]) -> None:
@@ -161,7 +160,6 @@ class ArticleScoreHistory:
         """
         if entries:
             self._scores[(outlet, whom)] = entries
-            self._outlets.setdefault(whom, set()).add(outlet)
 
     def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
         """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
@@ -171,13 +169,7 @@ class ArticleScoreHistory:
         """The stored entries toward ``whom``; with an outlet, its pair's own list."""
         if outlet is not None:
             return self._scores.get((outlet, whom), [])
-        scores = self._scores
-        return [
-            entry for o in sorted(self._outlets.get(whom, ())) for entry in scores[(o, whom)]
-        ]
-
-    def keys(self) -> list[tuple[str, str]]:
-        return sorted(self._scores)
+        return [entry for (_, w), entries in self.items() if w == whom for entry in entries]
 
     def items(self) -> Iterator[tuple[tuple[str, str], list[tuple[str, Fraction]]]]:
         """Pairs in key order with the history's own entry lists; do not mutate them."""
@@ -202,8 +194,8 @@ def outlet_tendency(
 ) -> Score:
     """Arithmetic mean of the recorded article scores for one target.
 
-    Reads only the scores of the (outlet, whom) pairs asked for; with
-    ``outlet=None`` that is every outlet's pair for ``whom``.  The
+    Reads only the scores of the (outlet, whom) pair asked for; with
+    ``outlet=None`` it scans every pair for those toward ``whom``.  The
     numerators are summed per denominator and then over the lcm of the
     denominators, all as integers, and the mean is one ``Fraction``.
     """

@@ -237,6 +237,23 @@ def test_report_matrices_flag(capsys, trained_kb_path):
     assert "# matrix M (direct)" in out
 
 
+def test_kb_export_outlet_without_scores_warns(capsys, trained_kb_path):
+    code, out, err = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "zz")
+    assert code == 0
+    assert out.startswith("# matrix M (direct)\n\tzz\t")  # the grids still print
+    assert err == "warning: outlet zz has no scores in the knowledge base\n"
+    _, _, err = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "k")
+    assert err == ""
+
+
+def test_report_json_matrices_is_a_usage_error(capsys, trained_kb_path):
+    code, out, err = run(capsys, "report", "--kb", trained_kb_path, "--format", "json",
+                         "--matrices")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --matrices")
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "train")
     assert code == 2

@@ -266,3 +266,29 @@ def test_history_preserves_ingestion_order():
 def test_tendency_neutral_on_empty_history():
     kb = KnowledgeBase()
     assert outlet_tendency(kb.history, "anyone") is NEUTRAL
+
+
+@pytest.mark.parametrize("change", [
+    lambda kb: kb.cumulative.apply(StatementRecord("2", 0, "k", "andi", 1)),
+    lambda kb: kb.history.record("k", "andi", "9", Fraction(1)),
+    lambda kb: kb.processed.add("9"),
+    lambda kb: setattr(kb, "lexicon_fingerprint", "0" * 64),
+], ids=["cumulative", "history", "processed", "lexicon_fingerprint"])
+def test_kb_equality_reads_every_field(trained_kb, change):
+    other = copy.deepcopy(trained_kb)
+    assert other == trained_kb
+    change(other)
+    assert other != trained_kb
+
+
+def test_empty_kbs_are_equal_and_share_no_state():
+    one, other = KnowledgeBase(), KnowledgeBase()
+    assert one == other
+    one.processed.add("a")
+    one.history.record("k", "x", "a", Fraction(1))
+    assert other == KnowledgeBase()
+
+
+def test_kb_repr_counts_articles_cells_and_pairs(trained_kb):
+    assert repr(KnowledgeBase()) == "KnowledgeBase(articles=0, cells=0, pairs=0)"
+    assert repr(trained_kb) == "KnowledgeBase(articles=2, cells=6, pairs=3)"
