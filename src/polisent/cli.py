@@ -5,7 +5,7 @@ Commands::
     polisent lexicon validate <path>
     polisent train --corpus <dir> --lexicon <path> --kb <path>
     polisent analyze <file> --lexicon <path> --kb <path> [--trace]
-    polisent report --kb <path> [--entity <id>] [--format tsv|json] [--matrices]
+    polisent report --kb <path> [--entity <id>] [--format tsv|json]
     polisent kb export --kb <path> [--outlet <id>]
 
 Results go to stdout, diagnostics to stderr.  Exit status 0 on success,
@@ -37,7 +37,7 @@ from .textpipe import load_corpus, read_article
 def _fmt_score(score) -> str:
     """Compact decimal for score lines: -1/4 -> "-0.25", -1 -> "-1"."""
     text = f"{float(score):.4f}".rstrip("0").rstrip(".")
-    if text in ("", "-0"):
+    if text == "-0":
         return "0"
     return text
 
@@ -78,24 +78,6 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _single_outlet(kb: kbmod.KnowledgeBase, override: str | None) -> str | None:
-    outlets = {outlet for (outlet, _), _ in kb.history.items()}
-    if not override:
-        return outlets.pop() if len(outlets) == 1 else None
-    if override not in outlets:
-        print(f"warning: outlet {override} has no scores in the knowledge base", file=sys.stderr)
-    return override
-
-
-def _print_matrices(kb: kbmod.KnowledgeBase, outlet: str | None) -> None:
-    grids = [("M", "p", False), ("N", "s", False), ("M", "p", True), ("N", "s", True)]
-    for i, (name, value, view) in enumerate(grids[: 2 if outlet is None else 4]):
-        if i:
-            print()
-        print(f"# matrix {name} ({'outlet view' if view else 'direct'})")
-        print(format_matrix(kb.cumulative, outlet or "0", value, view), end="")
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -141,8 +123,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.matrices and args.format == "json":
-        raise PolisentError("--matrices prints tsv grids; it cannot be used with --format json")
     kb = _load_kb(args.kb)
     rows = []
     by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
@@ -169,15 +149,21 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{row['whom']}\t{row['articles']}\t{row['tendency']}"
                 f"\t{row['decimal']}\t{row['classification']}"
             )
-        if args.matrices:
-            print()
-            _print_matrices(kb, _single_outlet(kb, None))
     return 0
 
 
 def cmd_kb_export(args: argparse.Namespace) -> int:
     kb = _load_kb(args.kb)
-    _print_matrices(kb, _single_outlet(kb, args.outlet))
+    outlets = {outlet for (outlet, _), _ in kb.history.items()}
+    outlet = args.outlet or (outlets.pop() if len(outlets) == 1 else None)
+    if args.outlet and outlet not in outlets:
+        print(f"warning: outlet {outlet} has no scores in the knowledge base", file=sys.stderr)
+    grids = [("M", "p", False), ("N", "s", False), ("M", "p", True), ("N", "s", True)]
+    for i, (name, value, view) in enumerate(grids[: 2 if outlet is None else 4]):
+        if i:
+            print()
+        print(f"# matrix {name} ({'outlet view' if view else 'direct'})")
+        print(format_matrix(kb.cumulative, outlet or "0", value, view), end="")
     return 0
 
 
@@ -212,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--kb", required=True)
     report.add_argument("--entity", type=str.lower, help="restrict to one target entity")
     report.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    report.add_argument("--matrices", action="store_true",
-                        help="append matrix grids (tsv only)")
     report.set_defaults(func=cmd_report)
 
     kb = sub.add_parser("kb", help="knowledge base utilities")

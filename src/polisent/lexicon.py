@@ -161,8 +161,8 @@ class Lexicon:
         _tokens: dict[str, Token] | None = None,
     ):
         self.outlet_id = outlet_id.lower()
-        if not self.outlet_id:
-            raise MalformedLine("outlet id must be non-empty")
+        if self.outlet_id.split() != [self.outlet_id]:
+            raise MalformedLine(f"outlet id {outlet_id!r} is not one word")
         stopwords, negation_words, reporting_verbs = map(
             tuple, (stopwords, negation_words, reporting_verbs)
         )

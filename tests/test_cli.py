@@ -3,11 +3,13 @@ import os
 import re
 import shutil
 import stat
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+from polisent.cli import _fmt_score
 from support import run_cli as run
 
 LEXICON = str(FIXTURES / "lexicon.txt")
@@ -231,10 +233,12 @@ def test_kb_export_outlet_is_lowercased(capsys, trained_kb_path):
     assert "\tK\t" not in upper and "\nK\t" not in upper
 
 
-def test_report_matrices_flag(capsys, trained_kb_path):
-    code, out, _ = run(capsys, "report", "--kb", trained_kb_path, "--matrices")
-    assert code == 0
-    assert "# matrix M (direct)" in out
+def test_report_has_no_matrices_option(capsys, trained_kb_path):
+    # `kb export` is the one command that prints the grids.
+    code, out, err = run(capsys, "report", "--kb", trained_kb_path, "--matrices")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --matrices" in err
 
 
 def test_kb_export_outlet_without_scores_warns(capsys, trained_kb_path):
@@ -246,12 +250,11 @@ def test_kb_export_outlet_without_scores_warns(capsys, trained_kb_path):
     assert err == ""
 
 
-def test_report_json_matrices_is_a_usage_error(capsys, trained_kb_path):
-    code, out, err = run(capsys, "report", "--kb", trained_kb_path, "--format", "json",
-                         "--matrices")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --matrices")
+@pytest.mark.parametrize("score, text", [
+    (Fraction(-1, 4), "-0.25"), (Fraction(-1), "-1"), (Fraction(-1, 30000), "0"),
+])
+def test_fmt_score(score, text):
+    assert _fmt_score(score) == text
 
 
 def test_usage_error_exit_code(capsys):

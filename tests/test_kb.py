@@ -239,6 +239,7 @@ def test_load_rejects_version_mismatch(trained_kb):
         (lambda d: d["cells"][0].update(who=""), "cells[0].who"),
         (lambda d: d["cells"].append(dict(d["cells"][0])), "duplicate cell"),
         (lambda d: d["processed"].append(d["processed"][0]), "duplicate article"),
+        (lambda d: d.update(processed={}), "processed: expected an array"),
         (lambda d: d["history"][0]["scores"][0].update(den=0), "den"),
         (lambda d: d["history"][0]["scores"][0].update(num=5, den=2), "outside"),
         (lambda d: d["history"][0]["scores"][0].update(num=2, den=4), "lowest terms"),

@@ -217,6 +217,7 @@ def test_programmatic_validation():
         {"entities": [EntityEntry("andi", ("Pak Andi",))]},
         {"entities": [EntityEntry("hakim  agung", ("agung",))]},  # an id is one word
         {"entities": [EntityEntry("hakim agung")]},
+        {"entities": [EntityEntry("x", ("  ",))]},  # an alias of no words
         {"opinion_entries": [OpinionEntry("Baik", 1)]},
         {"stopwords": ["Si"]},
     ],
@@ -225,4 +226,12 @@ def test_programmatic_surfaces_that_cannot_match_rejected(fields):
     # Tokens are lowercase words, so these could never match any text.
     with pytest.raises(LexiconError) as err:
         Lexicon("k", **fields)
+    assert err.value.line is None
+
+
+@pytest.mark.parametrize("outlet_id", ["", "   ", "a b", " k"])
+def test_programmatic_outlet_id_must_be_one_word(outlet_id):
+    # A file can only declare `[outlet] <id>` with one word, so dumps() could not reload these.
+    with pytest.raises(MalformedLine) as err:
+        Lexicon(outlet_id)
     assert err.value.line is None
