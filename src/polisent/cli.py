@@ -60,24 +60,27 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
     """Write the document to a temp file beside ``path``, then rename it over.
 
     A crash at any point leaves either the old or the new document, and
-    a failed save removes its temp file.  The new file keeps the mode of
-    the one it replaces.
+    a failed save removes its temp file and names ``path``, not the temp
+    file.  The new file keeps the mode of the one it replaces.
     """
     path = Path(path)
     text = kbmod.dumps(kb)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if path.exists():
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if path.exists():
+                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot save {path}: {exc.strerror or exc}") from None
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -91,6 +94,7 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     lexicon = load_lexicon_file(args.lexicon)
     kb = _load_kb_or_empty(args.kb)
+    lines = []  # printed once the KB is saved, so a failed save prints no result
     for article in load_corpus(args.corpus):
         try:
             scored = kbmod.ingest(kb, article, lexicon)
@@ -100,12 +104,13 @@ def cmd_train(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        for whom, score in scored.scores.items():
-            print(f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})")
+        lines += [f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})"
+                  for whom, score in scored.scores.items()]
     for (outlet, whom), _ in kb.history.items():
         tendency = outlet_tendency(kb.history, whom, outlet=outlet)
-        print(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
+        lines.append(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
     _save_kb(kb, args.kb)
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 

@@ -8,10 +8,11 @@ class PolisentError(Exception):
 
 
 class LexiconError(PolisentError):
-    """Problem in a word-database file or a programmatic lexicon.
+    """Problem in a word-database file.
 
-    ``line`` is the 1-based line number in the source file, or None when
-    the lexicon was built in code.
+    ``line`` is the 1-based line number in the source file.  It is None
+    only for a fault that is not on one line, such as a file that is not
+    UTF-8.
     """
 
     def __init__(self, message: str, line: int | None = None):

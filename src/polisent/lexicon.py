@@ -19,17 +19,16 @@ once, in one category.  A canonical entity id acts as its own implicit
 alias.  Every alias must be able to match text: each of its words is a
 single word token and none of them is a stopword, since cleansing drops
 stopwords before aliases are resolved.  The id is one word token too.
-A :class:`Lexicon` built in code follows the same rules: a surface that
-is not its own lowercase, or an id of more than one word, is rejected.
+A :class:`Lexicon` is built only from this text, by :func:`load_lexicon`
+or :func:`load_lexicon_file`, which make every check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
 
@@ -37,18 +36,6 @@ _SECTIONS = ("stopwords", "negations", "reporting", "opinions", "entities")
 
 # One word token.  The tokenizer splits text into these and punctuation.
 WORD_RE = re.compile(r"\w+")
-
-
-@dataclass(frozen=True)
-class OpinionEntry:
-    surface: str
-    valence: int
-
-
-@dataclass(frozen=True)
-class EntityEntry:
-    canonical_id: str
-    aliases: tuple[str, ...] = ()
 
 
 class TokenClass(NamedTuple):
@@ -93,8 +80,6 @@ _new = tuple.__new__
 
 def _claim(table: dict[str, Token], surface: str, token_class: TokenClass) -> None:
     """Enter one surface's shared token in the table; a second declaration is an error."""
-    if surface != surface.lower():
-        raise LexiconError(f"surface {surface!r} is not lowercase, so no token can match it")
     previous = table.get(surface)
     if previous is not None:
         raise DuplicateSurface(
@@ -104,34 +89,14 @@ def _claim(table: dict[str, Token], surface: str, token_class: TokenClass) -> No
     table[surface] = _new(Token if kept else Dropped, (surface, token_class))
 
 
-def _claim_entity(table: dict[str, Token], entity: EntityEntry) -> None:
-    """Claim the id and every alias, keyed by their space-joined words."""
-    token_class = TokenClass("entity", entity_id=entity.canonical_id)
-    for surface in (entity.canonical_id, *entity.aliases):
-        words = surface.split()
-        if not words:
-            raise MalformedLine(f"entity {entity.canonical_id!r} declares an empty alias")
-        _claim(table, " ".join(words), token_class)
-
-
-def _opinion_class(entry: OpinionEntry) -> TokenClass:
-    token_class = _OPINIONS.get(entry.valence)
-    if token_class is None:
-        raise InvalidValence(
-            f"opinion {entry.surface!r} has valence {entry.valence}, expected +1 or -1"
-        )
-    return token_class
-
-
-def _check_entity(entity: EntityEntry, outlet_id: str, stopwords: frozenset[str]) -> None:
+def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords: set[str]) -> None:
     """Reject an entity that shadows the outlet or a surface that cannot match."""
-    canonical = entity.canonical_id
     if canonical == outlet_id:
         raise DuplicateSurface(f"entity id {canonical!r} collides with the outlet id")
     # isalnum() settles most surfaces: \w is a character isalnum() accepts, or "_".
     if not canonical.isalnum() and not WORD_RE.fullmatch(canonical):
         raise LexiconError(f"entity id {canonical!r} contains a non-word character")
-    for alias in entity.aliases:
+    for alias in aliases:
         words = alias.split()
         joined = "".join(words)
         if not joined.isalnum() and not WORD_RE.fullmatch(joined):
@@ -145,61 +110,33 @@ class Lexicon:
 
     ``tokens`` maps each surface (a multi-word one by its words joined
     with one space) to its one shared :class:`Token`; a :class:`Dropped`
-    token marks a surface that cleansing drops.  ``_tokens`` is a table
-    :func:`load_lexicon` has already claimed and checked.
+    token marks a surface that cleansing drops.  The table is the only
+    store: :func:`load_lexicon` fills and checks it, and the trie, the
+    text form and the counts are derived from it.
     """
 
-    def __init__(
-        self,
-        outlet_id: str,
-        opinion_entries: Iterable[OpinionEntry] = (),
-        negation_words: Iterable[str] = (),
-        stopwords: Iterable[str] = (),
-        reporting_verbs: Iterable[str] = (),
-        entities: Iterable[EntityEntry] = (),
-        *,
-        _tokens: dict[str, Token] | None = None,
-    ):
-        self.outlet_id = outlet_id.lower()
-        if self.outlet_id.split() != [self.outlet_id]:
-            raise MalformedLine(f"outlet id {outlet_id!r} is not one word")
-        stopwords, negation_words, reporting_verbs = map(
-            tuple, (stopwords, negation_words, reporting_verbs)
-        )
-        self.stopwords = frozenset(stopwords)
-        self.negation_words = frozenset(negation_words)
-        self.reporting_verbs = frozenset(reporting_verbs)
-        self.opinion_entries = tuple(opinion_entries)
-        self.entities = tuple(entities)
+    def __init__(self, outlet_id: str, tokens: dict[str, Token]):
+        self.outlet_id = outlet_id
+        self.tokens = tokens
         self._fingerprint: str | None = None
-
-        if _tokens is None:
-            _tokens = {}
-            for surfaces, token_class in (
-                (stopwords, STOPWORD), (negation_words, NEGATION), (reporting_verbs, REPORTING_VERB)
-            ):
-                for surface in surfaces:
-                    _claim(_tokens, surface, token_class)
-            for entry in self.opinion_entries:
-                _claim(_tokens, entry.surface, _opinion_class(entry))
-            for entity in self.entities:
-                _claim_entity(_tokens, entity)
-                _check_entity(entity, self.outlet_id, self.stopwords)
-        self.tokens = _tokens
 
         # Token trie of the entity surfaces: a node maps the next word to
         # its child, and ALIAS_MATCH to the token that replaces the words
-        # so far.  That token is never the one cleansing gives for the id,
-        # so a replaced window can be told from a kept word by identity.
+        # so far.  Each entity has one such token, never the one cleansing
+        # gives for the id, so a replaced window can be told from a kept
+        # word by identity.
         self.alias_trie: dict[str, dict] = {}
-        for entity in self.entities:
-            canonical = entity.canonical_id
-            replacement = _new(Token, (canonical, _tokens[canonical].token_class))
-            for surface in (canonical, *entity.aliases):
-                node = self.alias_trie
-                for word in surface.split():
-                    node = node.setdefault(word, {})
-                node[ALIAS_MATCH] = replacement
+        replacements: dict[str, Token] = {}
+        for surface, token in tokens.items():
+            entity_id = token.token_class.entity_id
+            if entity_id is None:
+                continue
+            if entity_id not in replacements:
+                replacements[entity_id] = _new(Token, (entity_id, token.token_class))
+            node = self.alias_trie
+            for word in surface.split():
+                node = node.setdefault(word, {})
+            node[ALIAS_MATCH] = replacements[entity_id]
 
     def lookup(self, token: str) -> TokenClass:
         """Classify one token.  Unknown tokens are ``plain``.
@@ -210,38 +147,44 @@ class Lexicon:
         found = self.tokens.get(token.lower())
         return PLAIN if found is None else found.token_class
 
+    def _sections(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """One pass over the table in surface order, so every list comes out sorted.
+
+        Returns the text lines of each word kind, in section order, and
+        the aliases of each entity id.
+        """
+        lines: dict[str, list[str]] = {
+            "stopword": [], "negation": [], "reporting_verb": [], "opinion": []
+        }
+        aliases: dict[str, list[str]] = {}
+        for surface, token in sorted(self.tokens.items()):
+            kind, valence, entity_id = token.token_class
+            if entity_id is None:
+                lines[kind].append(surface if valence is None else f"{surface} {valence:+d}")
+            else:
+                owned = aliases.setdefault(entity_id, [])
+                if surface != entity_id:
+                    owned.append(surface)
+        return lines, aliases
+
     def category_counts(self) -> dict[str, int]:
+        lines, aliases = self._sections()
         return {
-            "stopwords": len(self.stopwords),
-            "negations": len(self.negation_words),
-            "reporting_verbs": len(self.reporting_verbs),
-            "opinions": len(self.opinion_entries),
-            "entities": len(self.entities),
-            "aliases": sum(len(e.aliases) for e in self.entities),
+            **{f"{kind}s": len(found) for kind, found in lines.items()},
+            "entities": len(aliases),
+            "aliases": sum(map(len, aliases.values())),
         }
 
     def dumps(self) -> str:
         """Canonical text form; parseable by :func:`load_lexicon`."""
-        lines = [f"[outlet] {self.outlet_id}", "", "[stopwords]"]
-        lines += sorted(self.stopwords)
-        lines += ["", "[negations]"]
-        lines += sorted(self.negation_words)
-        lines += ["", "[reporting]"]
-        lines += sorted(self.reporting_verbs)
-        lines += ["", "[opinions]"]
-        lines += [
-            f"{e.surface} {e.valence:+d}"
-            for e in sorted(self.opinion_entries, key=lambda e: e.surface)
-        ]
-        lines += ["", "[entities]"]
-        for entity in sorted(self.entities, key=lambda e: e.canonical_id):
-            if entity.aliases:
-                lines.append(
-                    f"{entity.canonical_id} : {' , '.join(sorted(entity.aliases))}"
-                )
-            else:
-                lines.append(entity.canonical_id)
-        return "\n".join(lines) + "\n"
+        lines, aliases = self._sections()
+        out = [f"[outlet] {self.outlet_id}"]
+        for name, found in zip(_SECTIONS, lines.values()):  # the entities come last
+            out += ["", f"[{name}]", *found]
+        out += ["", "[entities]"]
+        out += [f"{c} : {' , '.join(owned)}" if owned else c
+                for c, owned in sorted(aliases.items())]
+        return "\n".join(out) + "\n"
 
     def fingerprint(self) -> str:
         """Content hash binding knowledge bases to the lexicon they used.
@@ -263,23 +206,16 @@ class Lexicon:
         return f"Lexicon(outlet={self.outlet_id!r}, {body})"
 
 
-def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
-    """Parse a lexicon file.  All errors carry the offending line number.
+def load_lexicon(lines: Iterable[str]) -> Lexicon:
+    """Parse the lines of a lexicon file.  All errors carry the offending line number.
 
     Surfaces are claimed into the lexicon's token table in file order,
     so the first fault in the file is the one reported; the entities are
     checked once the stopwords are all known.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-
     outlet: str | None = None
     section: str | None = None
-    words: dict[str, list[str]] = {name: [] for name in _WORD_CLASSES}
-    opinions: list[OpinionEntry] = []
-    entities: list[tuple[int, EntityEntry]] = []
+    entities: list[tuple[int, str, list[str]]] = []
     tokens: dict[str, Token] = {}
 
     line_no = 0  # after the loop: the last line, which a missing outlet reports
@@ -288,45 +224,47 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            lowered = line.lower()
             if line.startswith("["):
-                header = line.lower()
-                if header.startswith("[outlet]"):
-                    value = header[len("[outlet]"):].strip()
+                if lowered.startswith("[outlet]"):
+                    value = lowered[len("[outlet]"):].strip()
                     if len(value.split()) != 1:
                         raise MalformedLine("expected '[outlet] <id>'")
                     if outlet is not None:
                         raise MalformedLine("duplicate [outlet] declaration")
                     outlet, section = value, None
                     continue
-                name = header.strip("[]")
-                if header != f"[{name}]" or name not in _SECTIONS:
+                name = lowered.strip("[]")
+                if lowered != f"[{name}]" or name not in _SECTIONS:
                     raise MalformedLine(f"unknown section header {line!r}")
                 section = name
             elif section is None:
                 raise MalformedLine("content outside any section")
-            elif section in words:
-                parts = line.lower().split()
+            elif section in _WORD_CLASSES:
+                parts = lowered.split()
                 if len(parts) != 1:
                     raise MalformedLine("expected one token per line")
                 _claim(tokens, parts[0], _WORD_CLASSES[section])
-                words[section].append(parts[0])
             elif section == "opinions":
-                parts = line.lower().split()
+                parts = lowered.split()
                 if len(parts) != 2:
                     raise MalformedLine("expected '<surface> <+1|-1>'")
                 surface, valence_text = parts
                 try:
-                    entry = OpinionEntry(surface, int(valence_text))
+                    valence = int(valence_text)
                 except ValueError:
                     raise MalformedLine(
                         f"valence {valence_text!r} is not an integer"
                     ) from None
-                _claim(tokens, surface, _opinion_class(entry))
-                opinions.append(entry)
+                if valence not in _OPINIONS:
+                    raise InvalidValence(
+                        f"opinion {surface!r} has valence {valence}, expected +1 or -1"
+                    )
+                _claim(tokens, surface, _OPINIONS[valence])
             else:  # entities
                 if line.count(":") > 1:
                     raise MalformedLine("expected '<id> : <alias> , ...'")
-                head, _, tail = line.lower().partition(":")
+                head, _, tail = lowered.partition(":")
                 canonical = head.strip()
                 if len(canonical.split()) != 1:
                     raise MalformedLine("entity id must be a single token")
@@ -338,27 +276,20 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
                         if not alias:
                             raise MalformedLine("empty alias")
                         aliases.append(alias)
-                entity = EntityEntry(canonical, tuple(aliases))
-                _claim_entity(tokens, entity)
-                entities.append((line_no, entity))
+                token_class = TokenClass("entity", entity_id=canonical)
+                for surface in (canonical, *aliases):
+                    _claim(tokens, surface, token_class)
+                entities.append((line_no, canonical, aliases))
 
         if outlet is None:
             raise MalformedLine("missing [outlet] declaration")
-        stopwords = frozenset(words["stopwords"])
-        for line_no, entity in entities:
-            _check_entity(entity, outlet, stopwords)
+        stopwords = {s for s, token in tokens.items() if token.token_class is STOPWORD}
+        for line_no, canonical, aliases in entities:
+            _check_entity(canonical, aliases, outlet, stopwords)
     except LexiconError as exc:
         raise type(exc)(str(exc), line=line_no) from None
 
-    return Lexicon(
-        outlet_id=outlet,
-        opinion_entries=opinions,
-        negation_words=words["negations"],
-        stopwords=words["stopwords"],
-        reporting_verbs=words["reporting"],
-        entities=[entity for _, entity in entities],
-        _tokens=tokens,
-    )
+    return Lexicon(outlet, tokens)
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:

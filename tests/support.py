@@ -9,31 +9,48 @@ from polisent.analyzer import StatementRecord
 from polisent.cli import main
 from polisent.kb import KnowledgeBase
 from polisent.ledger import NEUTRAL, PolarityLedger
-from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry
+from polisent.lexicon import load_lexicon
 from polisent.textpipe import RawArticle
 
 IDS = ["k", "andi", "kpk", "deddy", "km", "ahmad", "p1", "p2"]
 
 # Small ascii lexicon for synthetic analyzer articles.
-MINI_LEXICON = Lexicon(
-    outlet_id="out",
-    opinion_entries=[
-        OpinionEntry("good", 1),
-        OpinionEntry("fine", 1),
-        OpinionEntry("bad", -1),
-        OpinionEntry("poor", -1),
-    ],
-    negation_words=["not", "never"],
-    stopwords=["the", "a", "is"],
-    reporting_verbs=["said", "stated"],
-    entities=[EntityEntry(f"e{i}") for i in range(1, 5)],
-)
+MINI_LEXICON = load_lexicon("""\
+[outlet] out
+[stopwords]
+the
+a
+is
+[negations]
+not
+never
+[reporting]
+said
+stated
+[opinions]
+good +1
+fine +1
+bad -1
+poor -1
+[entities]
+e1
+e2
+e3
+e4
+""".splitlines())
+
+
+
+def surfaces(lexicon, kind: str) -> list[str]:
+    """The surfaces of one token kind, in the order the lexicon file declares them."""
+    return [s for s, token in lexicon.tokens.items() if token.token_class.kind == kind]
+
 
 _PLAIN = ["alpha", "beta", "gamma", "delta", "omega"]
-_ENTITIES = [e.canonical_id for e in MINI_LEXICON.entities]
-_OPINIONS = [e.surface for e in MINI_LEXICON.opinion_entries]
-_NEGATIONS = sorted(MINI_LEXICON.negation_words)
-_REPORTING = sorted(MINI_LEXICON.reporting_verbs)
+_ENTITIES = surfaces(MINI_LEXICON, "entity")
+_OPINIONS = surfaces(MINI_LEXICON, "opinion")
+_NEGATIONS = sorted(surfaces(MINI_LEXICON, "negation"))
+_REPORTING = sorted(surfaces(MINI_LEXICON, "reporting_verb"))
 
 
 def run_cli(capsys, *argv):

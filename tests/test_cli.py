@@ -280,14 +280,25 @@ def test_train_failed_save_keeps_old_kb(capsys, monkeypatch, trained_kb_path,
         raise OSError("injected failure")
 
     monkeypatch.setattr(os, "replace", fail)
-    code, _, err = run(capsys, "train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
-                       "--kb", trained_kb_path)
-    assert code == 2
+    code, out, err = run(capsys, "train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
+                         "--kb", trained_kb_path)
+    assert (code, out) == (2, "")
     assert "injected failure" in err
     assert Path(trained_kb_path).read_bytes() == before
     assert sorted(p.name for p in Path(trained_kb_path).parent.iterdir()) == [
         "demo.kb.json", "extra"
     ]
+
+
+def test_train_into_missing_directory_prints_no_results(capsys, tmp_path):
+    # No score line may claim a result the KB does not hold, and the
+    # error names the KB, not the temp file beside it.
+    kb_path = tmp_path / "missing" / "kb.json"
+    code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert str(kb_path) in err
+    assert ".tmp" not in err
 
 
 def test_train_save_keeps_file_mode(capsys, trained_kb_path, new_article_corpus):

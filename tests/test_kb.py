@@ -1,5 +1,4 @@
 import copy
-import io
 import json
 import random
 from fractions import Fraction
@@ -12,7 +11,9 @@ from polisent.errors import CorruptDocument, DuplicateArticle, LexiconMismatch, 
 from polisent.kb import KnowledgeBase, ingest
 from polisent.ledger import NEUTRAL, Cell, outlet_tendency, outlet_view
 from polisent.lexicon import load_lexicon
-from support import MINI_LEXICON, history_entries, random_article, random_kb, run_cli
+from support import (
+    MINI_LEXICON, history_entries, random_article, random_kb, run_cli, surfaces,
+)
 
 
 def roundtrip(kb):
@@ -66,7 +67,7 @@ def test_ingest_both_articles(trained_kb):
 def test_lexicon_mismatch_rejected(lexicon, article1, article2):
     kb = KnowledgeBase()
     ingest(kb, article1, lexicon)
-    other = load_lexicon(io.StringIO("[outlet] k\n[opinions]\nbaik +1\n"))
+    other = load_lexicon("[outlet] k\n[opinions]\nbaik +1\n".splitlines())
     with pytest.raises(LexiconMismatch):
         ingest(kb, article2, other)
 
@@ -77,7 +78,7 @@ def test_analyze_prints_the_scores_train_records(capsys, tmp_path):
     rng = random.Random(31)
     lexicon = tmp_path / "mini.txt"
     lexicon.write_text(MINI_LEXICON.dumps(), encoding="utf-8")
-    ids = [MINI_LEXICON.outlet_id] + [e.canonical_id for e in MINI_LEXICON.entities]
+    ids = [MINI_LEXICON.outlet_id] + surfaces(MINI_LEXICON, "entity")
     kb = KnowledgeBase(lexicon_fingerprint=MINI_LEXICON.fingerprint())
     for i in range(30):  # a random prior over the lexicon's ids feeds the sarcasm check
         kb.cumulative.apply(StatementRecord(

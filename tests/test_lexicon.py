@@ -1,14 +1,12 @@
-import io
-
 import pytest
 
 from polisent.errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
-from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry, load_lexicon
+from polisent.lexicon import load_lexicon
 from polisent.textpipe import cleanse, resolve, tokenize
 
 
 def loads(text):
-    return load_lexicon(io.StringIO(text))
+    return load_lexicon(text.splitlines())
 
 
 def resolved(lexicon, text):
@@ -48,8 +46,8 @@ def test_lookup_is_case_insensitive(lexicon):
 def test_vacuous_lexicon():
     lex = loads("[outlet] k\n")
     assert lex.outlet_id == "k"
-    assert not lex.opinion_entries
-    assert not lex.stopwords
+    assert lex.tokens == {}
+    assert set(lex.category_counts().values()) == {0}
     assert lex.lookup("anything").kind == "plain"
 
 
@@ -83,9 +81,6 @@ def test_alias_containing_non_word_character_rejected():
         loads("[outlet] k\n[entities]\nc : x.y\n")
     assert err.value.line == 3
     assert "'x.y'" in str(err.value)
-    with pytest.raises(LexiconError) as err:
-        Lexicon("k", entities=[EntityEntry("c", ("x.y",))])
-    assert err.value.line is None
 
 
 def test_entity_id_with_non_word_character_rejected():
@@ -94,9 +89,6 @@ def test_entity_id_with_non_word_character_rejected():
         loads("[outlet] k\n[entities]\nc : foo\nx.y : bar\n")
     assert err.value.line == 4
     assert "entity id 'x.y'" in str(err.value)
-    with pytest.raises(LexiconError) as err:
-        Lexicon("k", entities=[EntityEntry("x.y", ("bar",))])
-    assert err.value.line is None
 
 
 def test_entity_id_collides_with_outlet():
@@ -123,6 +115,7 @@ def test_invalid_valence():
         "[outlet] k\n[outlet] m\n",
         "[outlet] k\n[entities]\na : b : c\n",
         "[outlet] k\n[entities]\na : x , , y\n",
+        "[outlet] k\n[entities]\nhakim agung : agung\n",
         "[stopwords]\nini\n",
     ],
 )
@@ -151,33 +144,14 @@ def test_surfaces_normalized_lowercase():
 
 def test_entity_line_without_aliases():
     lex = loads("[outlet] k\n[entities]\nahmad\n")
-    assert lex.entities[0].aliases == ()
+    assert lex.category_counts()["aliases"] == 0
     assert lex.lookup("ahmad").entity_id == "ahmad"
 
 
 def test_disjointness_exhaustive(lexicon):
-    surfaces = (
-        list(lexicon.stopwords)
-        + list(lexicon.negation_words)
-        + list(lexicon.reporting_verbs)
-        + [e.surface for e in lexicon.opinion_entries]
-    )
-    for surface in surfaces:
-        kinds = {
-            surface in lexicon.stopwords,
-            surface in lexicon.negation_words,
-            surface in lexicon.reporting_verbs,
-        }
-        claimed = sum(
-            [
-                surface in lexicon.stopwords,
-                surface in lexicon.negation_words,
-                surface in lexicon.reporting_verbs,
-                any(surface == e.surface for e in lexicon.opinion_entries),
-                lexicon.lookup(surface).entity_id is not None,
-            ]
-        )
-        assert claimed == 1, f"{surface} claimed by {claimed} categories"
+    # Each surface is one table entry, so the categories count it once.
+    assert sum(lexicon.category_counts().values()) == len(lexicon.tokens)
+    for surface in lexicon.tokens:
         assert lexicon.lookup(surface).kind != "plain"
 
 
@@ -199,39 +173,3 @@ def test_fingerprint_changes_with_content():
     b = loads("[outlet] k\n[stopwords]\ndua\n")
     assert a != b
     assert a.fingerprint() != b.fingerprint()
-
-
-def test_programmatic_validation():
-    with pytest.raises(DuplicateSurface):
-        Lexicon("k", stopwords=["x"], negation_words=["x"])
-    with pytest.raises(InvalidValence):
-        Lexicon("k", opinion_entries=[OpinionEntry("x", 0)])
-    with pytest.raises(DuplicateSurface):
-        Lexicon("k", entities=[EntityEntry("k")])
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"entities": [EntityEntry("ANDI", ("pak andi",))]},  # its alias became a plain 'ANDI'
-        {"entities": [EntityEntry("andi", ("Pak Andi",))]},
-        {"entities": [EntityEntry("hakim  agung", ("agung",))]},  # an id is one word
-        {"entities": [EntityEntry("hakim agung")]},
-        {"entities": [EntityEntry("x", ("  ",))]},  # an alias of no words
-        {"opinion_entries": [OpinionEntry("Baik", 1)]},
-        {"stopwords": ["Si"]},
-    ],
-)
-def test_programmatic_surfaces_that_cannot_match_rejected(fields):
-    # Tokens are lowercase words, so these could never match any text.
-    with pytest.raises(LexiconError) as err:
-        Lexicon("k", **fields)
-    assert err.value.line is None
-
-
-@pytest.mark.parametrize("outlet_id", ["", "   ", "a b", " k"])
-def test_programmatic_outlet_id_must_be_one_word(outlet_id):
-    # A file can only declare `[outlet] <id>` with one word, so dumps() could not reload these.
-    with pytest.raises(MalformedLine) as err:
-        Lexicon(outlet_id)
-    assert err.value.line is None

@@ -7,7 +7,6 @@ difference allowed is the rejection of aliases the text pipeline could
 never match (a non-word character or a stopword inside the alias).
 """
 
-import io
 import re
 
 from hypothesis import example, given, settings
@@ -76,7 +75,7 @@ def lexicon_texts(draw):
 
 def load(loader, text):
     try:
-        return loader(io.StringIO(text)), None
+        return loader(text.splitlines()), None
     except LexiconError as exc:
         return None, exc
 
@@ -134,6 +133,8 @@ def test_load_matches_oracle(text):
 
     assert new.dumps() == old.dumps()
     assert new.fingerprint() == old.fingerprint()
+    assert new.category_counts() == old.category_counts()
+    assert repr(new) == repr(old)
     surfaces = [
         *old.stopwords, *old.negation_words, *old.reporting_verbs,
         *(e.surface for e in old.opinion_entries),
@@ -166,6 +167,6 @@ any_line = st.one_of(
 ))
 def test_load_raises_only_polisent_errors(lines):
     try:
-        load_lexicon(io.StringIO("\n".join(lines)))
+        load_lexicon("\n".join(lines).splitlines())
     except PolisentError:
         pass

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from polisent.errors import CorpusError
-from polisent.lexicon import EntityEntry, Lexicon, load_lexicon
+from polisent.lexicon import load_lexicon
 from polisent.textpipe import Sentence, cleanse, parse_article, process, resolve, segment, tokenize
 
 
@@ -107,10 +107,7 @@ def test_resolve_without_aliases_identity(lexicon):
 
 
 def test_resolve_longest_match_wins():
-    lex = Lexicon(
-        "out",
-        entities=[EntityEntry("x", ("a b",)), EntityEntry("y", ("a",))],
-    )
+    lex = load_lexicon(["[outlet] out", "[entities]", "x : a b", "y : a"])
     resolved = resolve(cleansed("a b a", lex), lex)
     assert norms(resolved) == ["x", "y"]
 

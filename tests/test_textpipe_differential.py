@@ -3,11 +3,10 @@
 Random bodies mix lexicon words in random case, non-ASCII words (``İ``
 lowercases to two code points, the second not a word character), runs of
 punctuation, terminators with and without whitespace after them, and
-ASCII and non-ASCII whitespace.  The lexicons declare nested and
+ASCII and non-ASCII whitespace.  The lexicon declares nested and
 overlapping multi-word aliases, an id whose aliases share no word with
-it (text spells it ``x.y``, two plain words), punctuation declared as a
-stopword and an opinion, and (built directly, not loaded) aliases with
-runs of whitespace between their words.
+it (text spells it ``x.y``, two plain words), and punctuation declared
+as a stopword and an opinion.
 Per body the library must give the oracle's sentences, tokens, kept and
 resolved words with their classes, alias hits and statement records.
 """
@@ -18,10 +17,10 @@ from hypothesis import strategies as st
 import textpipe_oracle as oracle
 from polisent.analyzer import StatementRecord, analyze_article
 from polisent.ledger import PolarityLedger
-from polisent.lexicon import EntityEntry, Lexicon, OpinionEntry, load_lexicon
+from polisent.lexicon import load_lexicon
 from polisent.textpipe import RawArticle, cleanse, process, resolve, segment, tokenize
 
-LOADED = load_lexicon("""\
+LEXICON = load_lexicon("""\
 [outlet] k
 [stopwords]
 si
@@ -50,21 +49,6 @@ s : b c d , a b
 xy : foo , foo bar
 ünal : ısmail ünal , çelik
 """.splitlines())
-
-# Built in code: the table keys an alias by its words joined with one space.
-DIRECT = Lexicon(
-    "k",
-    opinion_entries=[OpinionEntry("baik", 1), OpinionEntry("buruk", -1)],
-    negation_words=["tidak"],
-    stopwords=["si"],
-    reporting_verbs=["berkata"],
-    entities=[
-        EntityEntry("andi", ("pak  andi",)),
-        EntityEntry("xy", ("foo", "foo\tbar")),
-        EntityEntry("hakim", ("hakim   agung", "agung")),
-        EntityEntry("kpk", ("komisi", "komisi pemberantasan korupsi")),
-    ],
-)
 
 WORDS = (
     "si", "yang", "tidak", "bukan", "berkata", "kata", "baik", "buruk", "korup",
@@ -149,21 +133,21 @@ def check_article(body, lexicon, triples):
 
 
 @settings(max_examples=300, deadline=None)
-@given(body=bodies, lexicon=st.sampled_from((LOADED, DIRECT)), triples=priors)
-@example(body="İyi! İSTANBUL İyi.x. Andi berkata kpk baik.", lexicon=LOADED, triples=[])
+@given(body=bodies, triples=priors)
+@example(body="İyi! İSTANBUL İyi.x. Andi berkata kpk baik.", triples=[])
 @example(body="pak si andi mallarangeng tidak korup. bu yang ani yudhoyono baik!",
-         lexicon=LOADED, triples=[("k", "andi", -1)])
+         triples=[("k", "andi", -1)])
 @example(body="a b c d. b c d a b c. majelis hakim agung agung hakim!",
-         lexicon=LOADED, triples=[])
+         triples=[])
 @example(body="foo berkata komisi baik. foo bar buruk? x.y baik.",
-         lexicon=LOADED, triples=[("xy", "kpk", -1)])
+         triples=[("xy", "kpk", -1)])
 @example(body="Andi baik . Komisi\x1cburuk. ÇELİK baik?!  ısmail  ÜNAL buruk",
-         lexicon=LOADED, triples=[("k", "ünal", -1)])
+         triples=[("k", "ünal", -1)])
 @example(body="pak andi berkata foo baik. agung tidak buruk. si komisi baik!",
-         lexicon=DIRECT, triples=[("andi", "kpk", -1)])
-def test_pipeline_matches_oracle(body, lexicon, triples):
-    check_stages(body, lexicon)
-    check_article(body, lexicon, triples)
+         triples=[("andi", "kpk", -1)])
+def test_pipeline_matches_oracle(body, triples):
+    check_stages(body, LEXICON)
+    check_article(body, LEXICON, triples)
 
 
 def test_fixture_corpus_matches_oracle(lexicon, corpus):
