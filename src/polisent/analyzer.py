@@ -63,20 +63,23 @@ def analyze_article(
     article may legitimately yield zero statements.
     """
     records: list[StatementRecord] = []
+    article_id, outlet_id = article.article_id, article.outlet_id
     current_whom: str | None = None
     for sentence in textpipe.process(article.body, lexicon):
-        current_who = article.outlet_id
         classes = [token.token_class for token in sentence.tokens]
         kinds = [token_class.kind for token_class in classes]
+        if "entity" not in kinds and "opinion" not in kinds:
+            continue  # it can neither move the target nor emit a statement
+        current_who = outlet_id
         negation_count = kinds.count("negation")
-        for i, token_class in enumerate(classes):
-            if kinds[i] == "entity":
+        for i, kind in enumerate(kinds):
+            if kind == "entity":
                 if "reporting_verb" in kinds[i + 1:i + 1 + SPEAKER_DISTANCE]:
-                    current_who = token_class.entity_id
+                    current_who = classes[i].entity_id
                 else:
-                    current_whom = token_class.entity_id
-            elif kinds[i] == "opinion" and current_whom is not None:
-                value = token_class.valence
+                    current_whom = classes[i].entity_id
+            elif kind == "opinion" and current_whom is not None:
+                value = classes[i].valence
                 if negation_count % 2 == 1:
                     value = -value
                 sarcasm = (
@@ -84,17 +87,8 @@ def analyze_article(
                     and prior is not None
                     and prior.cell(current_who, current_whom).p < 0
                 )
-                records.append(
-                    StatementRecord(
-                        article_id=article.article_id,
-                        sentence_index=sentence.index,
-                        who=current_who,
-                        whom=current_whom,
-                        value=value,
-                        sarcasm=sarcasm,
-                        negation_count=negation_count,
-                    )
-                )
+                records.append(StatementRecord(article_id, sentence.index, current_who,
+                                               current_whom, value, sarcasm, negation_count))
     return records
 
 

@@ -37,6 +37,11 @@ class Cell(NamedTuple):
     s: int = 0
 
 
+_EMPTY = Cell()
+# Builds a Cell without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
+
+
 class PolarityLedger:
     """Associative (who, whom) -> (p, s) store; absent keys read as (0, 0)."""
 
@@ -44,15 +49,15 @@ class PolarityLedger:
         self._cells: dict[tuple[str, str], Cell] = {}
 
     def cell(self, who: str, whom: str) -> Cell:
-        return self._cells.get((who, whom), Cell())
+        return self._cells.get((who, whom), _EMPTY)
 
     def apply(self, record) -> None:
         """Fold one statement in: p += value, s += 1 for its key."""
         if record.value not in (-1, 1):
             raise ValueError(f"statement value must be -1 or +1, got {record.value}")
         key = (record.who, record.whom)
-        old = self._cells.get(key, Cell())
-        self._cells[key] = Cell(old.p + record.value, old.s + 1)
+        old = self._cells.get(key, _EMPTY)
+        self._cells[key] = _new(Cell, (old.p + record.value, old.s + 1))
 
     def items(self) -> Iterator[tuple[tuple[str, str], Cell]]:
         for key in sorted(self._cells):

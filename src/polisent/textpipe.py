@@ -8,11 +8,13 @@ the body.  Processing is a pure function of (body, lexicon):
 
 Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
 text.  Tokenization splits a sentence into word runs and punctuation
-marks and lowercases each token on its own.  Cleansing drops punctuation
-and stopwords and classifies every word with one read of the lexicon's
-token table, which holds the shared :class:`Token` pair of word and class
-of every declared surface; only an unknown word gets a new ``plain``
-token.  Resolution walks the lexicon's token trie of entity surfaces and
+marks and lowercases them: an ASCII sentence as a whole, any other token
+by token.  Cleansing drops punctuation and stopwords and keeps every
+other word as a :class:`Token` pair of word and class, read from the
+lexicon's word cache.  The cache classifies each distinct word once per
+lexicon, with one read of the token table, which holds the shared token
+of every declared surface; an unknown word gets one new ``plain`` token.
+Resolution walks the lexicon's token trie of entity surfaces and
 replaces each alias (longest match wins) with one token holding its
 canonical entity id.
 """
@@ -68,30 +70,40 @@ def segment(body: str) -> list[str]:
 def tokenize(sentence_text: str, index: int) -> Sentence:
     """Split one sentence into lowercase word and punctuation tokens.
 
-    Each token is lowercased on its own: lowercasing can add a character
-    that is not a word character (``"İ"`` becomes ``"i"`` plus a combining
-    dot), which must not split the word.
+    An ASCII sentence is lowercased whole, which changes no character's
+    class.  Otherwise each token is lowercased on its own: lowercasing
+    can add a character that is not a word character (``"İ"`` becomes
+    ``"i"`` plus a combining dot), which must not split the word.
     """
+    if sentence_text.isascii():
+        return _new(Sentence, (index, tuple(_TOKEN_RE.findall(sentence_text.lower()))))
     return _new(Sentence, (index, tuple(map(str.lower, _TOKEN_RE.findall(sentence_text)))))
 
 
 def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     """Drop stopwords and punctuation tokens, keeping order.
 
-    Expects a tokenized sentence.  A declared word is kept as the
-    lexicon's shared token, an unknown word as a new ``plain`` one.
+    Expects a tokenized sentence.  Each word is read from the lexicon's
+    word cache.  A word it lacks is classified once, with one read of the
+    token table: a declared word keeps the table's shared token, an
+    unknown word gets a new ``plain`` one, and a dropped word is ``None``.
     """
-    table = lexicon.tokens.get
-    is_word = WORD_RE.search  # after isalnum(), which settles most words
-    kept = []
-    for word in sentence.tokens:
-        token = table(word)
-        if token is None:
-            if word.isalnum() or is_word(word):
-                kept.append(_new(Token, (word, PLAIN)))
-        elif token.__class__ is Token:  # not Dropped
-            kept.append(token)
-    return _new(Sentence, (sentence.index, tuple(kept)))
+    words, cache = sentence.tokens, lexicon.word_cache
+    try:
+        kept = tuple(filter(None, map(cache.__getitem__, words)))
+    except KeyError:
+        table = lexicon.tokens.get
+        for word in words:
+            if word not in cache:
+                token = table(word)
+                if token is None:  # isalnum() settles most words before the regex
+                    is_word = word.isalnum() or WORD_RE.search(word)
+                    token = _new(Token, (word, PLAIN)) if is_word else None
+                elif token.__class__ is not Token:  # Dropped
+                    token = None
+                cache[word] = token
+        kept = tuple(filter(None, map(cache.__getitem__, words)))
+    return _new(Sentence, (sentence.index, kept))
 
 
 def resolve(sentence: Sentence, lexicon: Lexicon) -> Sentence:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import FIXTURES
 from polisent.analyzer import StatementRecord, analyze_article, trace
 from polisent.ledger import PolarityLedger
-from polisent.lexicon import Lexicon
+from polisent.lexicon import Lexicon, load_lexicon_file
 from polisent.textpipe import RawArticle, segment, tokenize
 from support import MINI_LEXICON, random_article, random_prior
 
@@ -185,8 +186,12 @@ def test_trace_renders_outlet_as_zero():
     assert trace([record], "out").splitlines()[1] == "a\t3\t0\te1\t-1"
 
 
-def test_each_word_looked_up_once(lexicon, article1, monkeypatch):
-    """One read of the lexicon's token table per token, and no other lookup."""
+def test_each_word_looked_up_once(corpus, monkeypatch):
+    """One read of the token table per distinct word, in first-seen order, and no lookup.
+
+    The lexicon is loaded here: the session fixture's word cache is warm.
+    """
+    lexicon = load_lexicon_file(FIXTURES / "lexicon.txt")
     read = []
 
     class Counted(dict):
@@ -195,11 +200,15 @@ def test_each_word_looked_up_once(lexicon, article1, monkeypatch):
             return super().get(key, default)
 
     def lookup(self, token):
-        raise AssertionError(f"{token!r} classified a second time")
+        raise AssertionError(f"{token!r} classified through lookup")
 
     monkeypatch.setattr(lexicon, "tokens", Counted(lexicon.tokens))
     monkeypatch.setattr(Lexicon, "lookup", lookup)
-    analyze_article(article1, lexicon)
-    assert read == [
-        token for text in segment(article1.body) for token in tokenize(text, 1).tokens
-    ]
+    words = []
+    for article in corpus:
+        analyze_article(article, lexicon)
+        words += [token for text in segment(article.body) for token in tokenize(text, 1).tokens]
+        assert read == list(dict.fromkeys(words))
+    assert len(read) < len(words)  # the articles repeat words
+    analyze_article(corpus[0], lexicon)
+    assert read == list(dict.fromkeys(words))

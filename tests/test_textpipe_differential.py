@@ -8,7 +8,9 @@ overlapping multi-word aliases, an id whose aliases share no word with
 it (text spells it ``x.y``, two plain words), and punctuation declared
 as a stopword and an opinion.
 Per body the library must give the oracle's sentences, tokens, kept and
-resolved words with their classes, alias hits and statement records.
+resolved words with their classes, alias hits and statement records, both
+with a lexicon whose word cache is warm from earlier bodies and with one
+loaded for the body.
 """
 
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from polisent.ledger import PolarityLedger
 from polisent.lexicon import load_lexicon
 from polisent.textpipe import RawArticle, cleanse, process, resolve, segment, tokenize
 
-LEXICON = load_lexicon("""\
+LEXICON_TEXT = """\
 [outlet] k
 [stopwords]
 si
@@ -48,7 +50,9 @@ p : a b c , q r
 s : b c d , a b
 xy : foo , foo bar
 ünal : ısmail ünal , çelik
-""".splitlines())
+"""
+# Shared by every example, so its word cache is warm from the examples before.
+LEXICON = load_lexicon(LEXICON_TEXT.splitlines())
 
 WORDS = (
     "si", "yang", "tidak", "bukan", "berkata", "kata", "baik", "buruk", "korup",
@@ -145,9 +149,14 @@ def check_article(body, lexicon, triples):
          triples=[("k", "ünal", -1)])
 @example(body="pak andi berkata foo baik. agung tidak buruk. si komisi baik!",
          triples=[("andi", "kpk", -1)])
+@example(body="Andi\x1cberkata\x1fKPK\x0bbaik. pak\x1fandi\x0btidak korup!", triples=[])
+@example(body="x_1 andi 2024 baik. X_1, 2024 kpk buruk?", triples=[("k", "kpk", -1)])
 def test_pipeline_matches_oracle(body, triples):
     check_stages(body, LEXICON)
     check_article(body, LEXICON, triples)
+    # A lexicon loaded for this example meets every word for the first time.
+    check_stages(body, load_lexicon(LEXICON_TEXT.splitlines()))
+    check_article(body, load_lexicon(LEXICON_TEXT.splitlines()), triples)
 
 
 def test_fixture_corpus_matches_oracle(lexicon, corpus):
