@@ -17,8 +17,7 @@ Role rules, per sentence of the processed token stream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import textpipe
 from .lexicon import Lexicon
@@ -32,8 +31,9 @@ if TYPE_CHECKING:
 SPEAKER_DISTANCE = 2
 
 
-@dataclass(frozen=True)
-class StatementRecord:
+class StatementRecord(NamedTuple):
+    """One statement: ``value`` is -1 or +1, which :meth:`PolarityLedger.apply` checks."""
+
     article_id: str
     sentence_index: int
     who: str
@@ -42,13 +42,9 @@ class StatementRecord:
     sarcasm: bool = False
     negation_count: int = 0
 
-    def __post_init__(self):
-        if self.value not in (-1, 1):
-            raise ValueError(f"statement value must be -1 or +1, got {self.value}")
-        if self.sarcasm and self.value != 1:
-            raise ValueError("sarcasm is only defined for positive statements")
-        if self.negation_count < 0:
-            raise ValueError("negation count cannot be negative")
+
+# Builds a StatementRecord without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 def analyze_article(
@@ -87,8 +83,9 @@ def analyze_article(
                     and prior is not None
                     and prior.cell(current_who, current_whom).p < 0
                 )
-                records.append(StatementRecord(article_id, sentence.index, current_who,
-                                               current_whom, value, sarcasm, negation_count))
+                records.append(_new(StatementRecord, (article_id, sentence.index, current_who,
+                                                      current_whom, value, sarcasm,
+                                                      negation_count)))
     return records
 
 

@@ -228,9 +228,7 @@ def format_matrix(
     ``with_outlet_view`` the outlet's column shows the derived view
     instead of its direct cells; other columns are always direct.
     """
-    if value not in ("p", "s"):
-        raise ValueError(f"value must be 'p' or 's', got {value!r}")
-    field = Cell._fields.index(value)
+    field = Cell._fields.index(value)  # ValueError for any other value
     whos = [outlet] + sorted(ledger.whos() - {outlet})
     column = {who: i for i, who in enumerate(whos)}
     # One pass groups the direct cells by target as (column, value).

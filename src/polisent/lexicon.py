@@ -68,12 +68,6 @@ class Token(NamedTuple):
     token_class: TokenClass
 
 
-class Dropped(Token):
-    """The token of a surface cleansing drops: a stopword or punctuation."""
-
-    __slots__ = ()
-
-
 # Builds a Token without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
@@ -85,8 +79,7 @@ def _claim(table: dict[str, Token], surface: str, token_class: TokenClass) -> No
         raise DuplicateSurface(
             f"{surface!r} already declared as {previous.token_class.kind.replace('_', ' ')}"
         )
-    kept = token_class is not STOPWORD and (surface.isalnum() or WORD_RE.search(surface))
-    table[surface] = _new(Token if kept else Dropped, (surface, token_class))
+    table[surface] = _new(Token, (surface, token_class))
 
 
 def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords: set[str]) -> None:
@@ -109,10 +102,10 @@ class Lexicon:
     """Immutable word database: a surface-to-token table and an alias trie.
 
     ``tokens`` maps each surface (a multi-word one by its words joined
-    with one space) to its one shared :class:`Token`; a :class:`Dropped`
-    token marks a surface that cleansing drops.  The table is the only
-    store of content: :func:`load_lexicon` fills and checks it, and the
-    trie, the text form and the counts are derived from it.
+    with one space) to its one shared :class:`Token`, stopwords and
+    punctuation surfaces included.  The table is the only store of
+    content: :func:`load_lexicon` fills and checks it, and the trie, the
+    text form and the counts are derived from it.
 
     ``word_cache`` is derived too: :func:`~polisent.textpipe.cleanse`
     fills it with one entry per distinct word it meets (779 on the

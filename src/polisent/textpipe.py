@@ -13,7 +13,8 @@ by token.  Cleansing drops punctuation and stopwords and keeps every
 other word as a :class:`Token` pair of word and class, read from the
 lexicon's word cache.  The cache classifies each distinct word once per
 lexicon, with one read of the token table, which holds the shared token
-of every declared surface; an unknown word gets one new ``plain`` token.
+of every declared surface, stopwords and punctuation included; an
+unknown word gets one new ``plain`` token.
 Resolution walks the lexicon's token trie of entity surfaces and
 replaces each alias (longest match wins) with one token holding its
 canonical entity id.
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorpusError
-from .lexicon import ALIAS_MATCH, PLAIN, WORD_RE, Lexicon, Token
+from .lexicon import ALIAS_MATCH, PLAIN, STOPWORD, WORD_RE, Lexicon, Token
 
 # A terminator followed by whitespace: the zero-width split point.
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])(?=\s)")
@@ -85,8 +86,10 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
 
     Expects a tokenized sentence.  Each word is read from the lexicon's
     word cache.  A word it lacks is classified once, with one read of the
-    token table: a declared word keeps the table's shared token, an
-    unknown word gets a new ``plain`` one, and a dropped word is ``None``.
+    token table, and this is the one place that decides what is kept: a
+    word with a word character that is not a stopword.  A kept declared
+    word is the table's shared token, a kept unknown word a new ``plain``
+    one; a dropped word is cached as ``None``.
     """
     words, cache = sentence.tokens, lexicon.word_cache
     try:
@@ -95,13 +98,9 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
         table = lexicon.tokens.get
         for word in words:
             if word not in cache:
-                token = table(word)
-                if token is None:  # isalnum() settles most words before the regex
-                    is_word = word.isalnum() or WORD_RE.search(word)
-                    token = _new(Token, (word, PLAIN)) if is_word else None
-                elif token.__class__ is not Token:  # Dropped
-                    token = None
-                cache[word] = token
+                token = table(word) or _new(Token, (word, PLAIN))
+                is_word = word.isalnum() or WORD_RE.search(word)  # isalnum() settles most words
+                cache[word] = token if is_word and token.token_class is not STOPWORD else None
         kept = tuple(filter(None, map(cache.__getitem__, words)))
     return _new(Sentence, (sentence.index, kept))
 

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from conftest import FIXTURES
 from polisent.analyzer import StatementRecord, analyze_article, trace
 from polisent.ledger import PolarityLedger
@@ -153,15 +151,6 @@ def test_determinism(lexicon, article1):
     first = analyze_article(article1, lexicon)
     second = analyze_article(article1, lexicon)
     assert first == second
-
-
-def test_statement_record_validation():
-    with pytest.raises(ValueError):
-        StatementRecord("a", 1, "x", "y", 2)
-    with pytest.raises(ValueError):
-        StatementRecord("a", 1, "x", "y", -1, sarcasm=True)
-    with pytest.raises(ValueError):
-        StatementRecord("a", 1, "x", "y", 1, negation_count=-1)
 
 
 def test_trace_golden_article1(lexicon, article1, golden_trace1):

@@ -53,12 +53,15 @@ def test_apply_cancellation_is_neutral():
 
 
 def test_apply_rejects_bad_value():
+    """``apply`` is the one check of a statement's value; a bad record leaves no cell."""
     class Fake:
         who, whom, value = "a", "b", 2
 
     ledger = PolarityLedger()
-    with pytest.raises(ValueError):
-        ledger.apply(Fake())
+    for bad in (Fake(), record("a", "b", 2), record("a", "b", 0)):
+        with pytest.raises(ValueError):
+            ledger.apply(bad)
+    assert len(ledger) == 0
 
 
 def test_article1_cells(article1_ledger):

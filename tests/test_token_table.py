@@ -11,7 +11,7 @@ two contracts the traced benchmark run counts with.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polisent.lexicon import STOPWORD, WORD_RE, load_lexicon
+from polisent.lexicon import STOPWORD, WORD_RE, Token, load_lexicon
 from polisent.textpipe import Sentence, cleanse, resolve, tokenize
 
 LEXICON = load_lexicon("""\
@@ -61,6 +61,12 @@ def test_cleanse_agrees_with_lookup(text):
         check_word(surface)
     for token in tokenize(text, 1).tokens:
         check_word(token)
+
+
+def test_every_table_token_is_a_plain_token():
+    # Stopwords and punctuation surfaces too: cleanse alone decides what is dropped.
+    assert all(type(token) is Token for token in LEXICON.tokens.values())
+    assert {",", "!", "x.y"} <= LEXICON.tokens.keys()
 
 
 def test_declared_words_are_the_shared_tokens():
