@@ -62,8 +62,8 @@ def analyze_article(
     article_id, outlet_id = article.article_id, article.outlet_id
     current_whom: str | None = None
     for sentence in textpipe.process(article.body, lexicon):
-        classes = [token.token_class for token in sentence.tokens]
-        kinds = [token_class.kind for token_class in classes]
+        tokens = sentence.tokens
+        kinds = [token.kind for token in tokens]
         if "entity" not in kinds and "opinion" not in kinds:
             continue  # it can neither move the target nor emit a statement
         current_who = outlet_id
@@ -71,11 +71,11 @@ def analyze_article(
         for i, kind in enumerate(kinds):
             if kind == "entity":
                 if "reporting_verb" in kinds[i + 1:i + 1 + SPEAKER_DISTANCE]:
-                    current_who = classes[i].entity_id
+                    current_who = tokens[i].entity_id
                 else:
-                    current_whom = classes[i].entity_id
+                    current_whom = tokens[i].entity_id
             elif kind == "opinion" and current_whom is not None:
-                value = classes[i].valence
+                value = tokens[i].valence
                 if negation_count % 2 == 1:
                     value = -value
                 sarcasm = (

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import kb as kbmod
 from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
-from .errors import CorruptDocument, DuplicateArticle, PolisentError
+from .errors import CorruptDocument, DuplicateArticle, PolisentError, read_utf8
 from .ledger import (
     article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
     classify_score,
@@ -43,11 +43,7 @@ def _fmt_score(score) -> str:
 
 
 def _load_kb(path: str | Path) -> kbmod.KnowledgeBase:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptDocument("document", f"not UTF-8 text ({exc.reason})") from None
-    return kbmod.loads(text)
+    return kbmod.loads(read_utf8(path, lambda message: CorruptDocument("document", message)))
 
 
 def _load_kb_or_empty(path: str | Path) -> kbmod.KnowledgeBase:
@@ -61,11 +57,13 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
 
     A crash at any point leaves either the old or the new document, and
     a failed save removes its temp file and names ``path``, not the temp
-    file.  The new file keeps the mode of the one it replaces.
+    file.  The temp name ends in a random suffix, so a temp file that a
+    killed save left behind blocks no later save.  The new file keeps the
+    mode of the one it replaces.
     """
     path = Path(path)
     text = kbmod.dumps(kb)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -81,6 +79,13 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
             raise
     except OSError as exc:
         raise OSError(f"cannot save {path}: {exc.strerror or exc}") from None
+
+
+def _id_arg(text: str) -> str:
+    """An id given on the command line: lowercased, as every stored id is, and never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text.lower()
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
@@ -201,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="print outlet tendencies")
     report.add_argument("--kb", required=True)
-    report.add_argument("--entity", type=str.lower, help="restrict to one target entity")
+    report.add_argument("--entity", type=_id_arg, help="restrict to one target entity")
     report.add_argument("--format", choices=("tsv", "json"), default="tsv")
     report.set_defaults(func=cmd_report)
 
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     kb_sub = kb.add_subparsers(dest="subcommand", required=True)
     export = kb_sub.add_parser("export", help="print polarity and count matrices")
     export.add_argument("--kb", required=True)
-    export.add_argument("--outlet", type=str.lower,
+    export.add_argument("--outlet", type=_id_arg,
                         help="outlet id for the derived view column")
     export.set_defaults(func=cmd_kb_export)
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of UTF-8 files."""
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Callable
 
 
 class PolisentError(Exception):
@@ -59,3 +62,11 @@ class CorruptDocument(PolisentError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def read_utf8(path: str | Path, error: Callable[[str], PolisentError]) -> str:
+    """The text of a UTF-8 file; ``error`` builds what a file that is not UTF-8 raises."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -20,7 +20,9 @@ alias.  Every alias must be able to match text: each of its words is a
 single word token and none of them is a stopword, since cleansing drops
 stopwords before aliases are resolved.  The id is one word token too.
 A :class:`Lexicon` is built only from this text, by :func:`load_lexicon`
-or :func:`load_lexicon_file`, which make every check.
+or :func:`load_lexicon_file`, which make every check.  Each surface is
+held as one flat :class:`Token`: the word, the kind its section gives
+it, and its valence or entity id; a word the lexicon lacks is ``plain``.
 """
 
 from __future__ import annotations
@@ -30,56 +32,47 @@ import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
-
-_SECTIONS = ("stopwords", "negations", "reporting", "opinions", "entities")
+from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine, read_utf8
 
 # One word token.  The tokenizer splits text into these and punctuation.
 WORD_RE = re.compile(r"\w+")
 
 
-class TokenClass(NamedTuple):
-    """Classification of one normalized token.
+# Each section of a lexicon file and the kind of token it declares, in the
+# order :meth:`Lexicon.dumps` writes them.
+_KINDS = {"stopwords": "stopword", "negations": "negation", "reporting": "reporting_verb",
+          "opinions": "opinion", "entities": "entity"}
+# Key of the match in a node of ``Lexicon.alias_trie``; no word is empty.
+ALIAS_MATCH = ""
+
+
+class Token(NamedTuple):
+    """A word and its classification.
 
     ``kind`` is one of ``stopword``, ``negation``, ``opinion``,
     ``entity``, ``reporting_verb`` or ``plain``.  ``valence`` is set for
     opinions, ``entity_id`` for entities.
     """
 
+    normalized: str
     kind: str
     valence: int | None = None
     entity_id: str | None = None
-
-
-STOPWORD = TokenClass("stopword")
-NEGATION = TokenClass("negation")
-REPORTING_VERB = TokenClass("reporting_verb")
-PLAIN = TokenClass("plain")
-_OPINIONS = {1: TokenClass("opinion", valence=1), -1: TokenClass("opinion", valence=-1)}
-_WORD_CLASSES = {"stopwords": STOPWORD, "negations": NEGATION, "reporting": REPORTING_VERB}
-# Key of the match in a node of ``Lexicon.alias_trie``; no word is empty.
-ALIAS_MATCH = ""
-
-
-class Token(NamedTuple):
-    """A kept word and its class."""
-
-    normalized: str
-    token_class: TokenClass
 
 
 # Builds a Token without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
 
-def _claim(table: dict[str, Token], surface: str, token_class: TokenClass) -> None:
+def _claim(table: dict[str, Token], surface: str, kind: str,
+           valence: int | None = None, entity_id: str | None = None) -> None:
     """Enter one surface's shared token in the table; a second declaration is an error."""
     previous = table.get(surface)
     if previous is not None:
         raise DuplicateSurface(
-            f"{surface!r} already declared as {previous.token_class.kind.replace('_', ' ')}"
+            f"{surface!r} already declared as {previous.kind.replace('_', ' ')}"
         )
-    table[surface] = _new(Token, (surface, token_class))
+    table[surface] = _new(Token, (surface, kind, valence, entity_id))
 
 
 def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords: set[str]) -> None:
@@ -127,24 +120,24 @@ class Lexicon:
         self.alias_trie: dict[str, dict] = {}
         replacements: dict[str, Token] = {}
         for surface, token in tokens.items():
-            entity_id = token.token_class.entity_id
+            entity_id = token.entity_id
             if entity_id is None:
                 continue
             if entity_id not in replacements:
-                replacements[entity_id] = _new(Token, (entity_id, token.token_class))
+                replacements[entity_id] = _new(Token, (entity_id, "entity", None, entity_id))
             node = self.alias_trie
             for word in surface.split():
                 node = node.setdefault(word, {})
             node[ALIAS_MATCH] = replacements[entity_id]
 
-    def lookup(self, token: str) -> TokenClass:
-        """Classify one token.  Unknown tokens are ``plain``.
+    def lookup(self, token: str) -> Token:
+        """The table's token for one word, or a new ``plain`` one if it lacks the word.
 
-        Total and case-insensitive: the token is lowercased before the
+        Total and case-insensitive: the word is lowercased before the
         table is read.
         """
-        found = self.tokens.get(token.lower())
-        return PLAIN if found is None else found.token_class
+        word = token.lower()
+        return self.tokens.get(word) or _new(Token, (word, "plain", None, None))
 
     def _sections(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """One pass over the table in surface order, so every list comes out sorted.
@@ -152,12 +145,10 @@ class Lexicon:
         Returns the text lines of each word kind, in section order, and
         the aliases of each entity id.
         """
-        lines: dict[str, list[str]] = {
-            "stopword": [], "negation": [], "reporting_verb": [], "opinion": []
-        }
+        lines: dict[str, list[str]] = {k: [] for k in _KINDS.values() if k != "entity"}
         aliases: dict[str, list[str]] = {}
         for surface, token in sorted(self.tokens.items()):
-            kind, valence, entity_id = token.token_class
+            _, kind, valence, entity_id = token
             if entity_id is None:
                 lines[kind].append(surface if valence is None else f"{surface} {valence:+d}")
             else:
@@ -178,7 +169,7 @@ class Lexicon:
         """Canonical text form; parseable by :func:`load_lexicon`."""
         lines, aliases = self._sections()
         out = [f"[outlet] {self.outlet_id}"]
-        for name, found in zip(_SECTIONS, lines.values()):  # the entities come last
+        for name, found in zip(_KINDS, lines.values()):  # the entities come last
             out += ["", f"[{name}]", *found]
         out += ["", "[entities]"]
         out += [f"{c} : {' , '.join(owned)}" if owned else c
@@ -234,16 +225,11 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                     outlet, section = value, None
                     continue
                 name = lowered.strip("[]")
-                if lowered != f"[{name}]" or name not in _SECTIONS:
+                if lowered != f"[{name}]" or name not in _KINDS:
                     raise MalformedLine(f"unknown section header {line!r}")
                 section = name
             elif section is None:
                 raise MalformedLine("content outside any section")
-            elif section in _WORD_CLASSES:
-                parts = lowered.split()
-                if len(parts) != 1:
-                    raise MalformedLine("expected one token per line")
-                _claim(tokens, parts[0], _WORD_CLASSES[section])
             elif section == "opinions":
                 parts = lowered.split()
                 if len(parts) != 2:
@@ -255,12 +241,12 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                     raise MalformedLine(
                         f"valence {valence_text!r} is not an integer"
                     ) from None
-                if valence not in _OPINIONS:
+                if valence not in (1, -1):
                     raise InvalidValence(
                         f"opinion {surface!r} has valence {valence}, expected +1 or -1"
                     )
-                _claim(tokens, surface, _OPINIONS[valence])
-            else:  # entities
+                _claim(tokens, surface, "opinion", valence)
+            elif section == "entities":
                 if line.count(":") > 1:
                     raise MalformedLine("expected '<id> : <alias> , ...'")
                 head, _, tail = lowered.partition(":")
@@ -275,14 +261,18 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                         if not alias:
                             raise MalformedLine("empty alias")
                         aliases.append(alias)
-                token_class = TokenClass("entity", entity_id=canonical)
                 for surface in (canonical, *aliases):
-                    _claim(tokens, surface, token_class)
+                    _claim(tokens, surface, "entity", entity_id=canonical)
                 entities.append((line_no, canonical, aliases))
+            else:  # stopwords, negations, reporting
+                parts = lowered.split()
+                if len(parts) != 1:
+                    raise MalformedLine("expected one token per line")
+                _claim(tokens, parts[0], _KINDS[section])
 
         if outlet is None:
             raise MalformedLine("missing [outlet] declaration")
-        stopwords = {s for s, token in tokens.items() if token.token_class is STOPWORD}
+        stopwords = {s for s, token in tokens.items() if token.kind == "stopword"}
         for line_no, canonical, aliases in entities:
             _check_entity(canonical, aliases, outlet, stopwords)
     except LexiconError as exc:
@@ -292,8 +282,4 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return load_lexicon(text.splitlines())
+    return load_lexicon(read_utf8(path, LexiconError).splitlines())

@@ -10,11 +10,11 @@ Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
 text.  Tokenization splits a sentence into word runs and punctuation
 marks and lowercases them: an ASCII sentence as a whole, any other token
 by token.  Cleansing drops punctuation and stopwords and keeps every
-other word as a :class:`Token` pair of word and class, read from the
-lexicon's word cache.  The cache classifies each distinct word once per
-lexicon, with one read of the token table, which holds the shared token
-of every declared surface, stopwords and punctuation included; an
-unknown word gets one new ``plain`` token.
+other word as a :class:`Token` (the word, its kind, and its valence or
+entity id), read from the lexicon's word cache.  The cache classifies
+each distinct word once per lexicon, with one read of the token table,
+which holds the shared token of every declared surface, stopwords and
+punctuation included; an unknown word gets one new ``plain`` token.
 Resolution walks the lexicon's token trie of entity surfaces and
 replaces each alias (longest match wins) with one token holding its
 canonical entity id.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import CorpusError
-from .lexicon import ALIAS_MATCH, PLAIN, STOPWORD, WORD_RE, Lexicon, Token
+from .errors import CorpusError, read_utf8
+from .lexicon import ALIAS_MATCH, WORD_RE, Lexicon, Token
 
 # A terminator followed by whitespace: the zero-width split point.
 _SENTENCE_END_RE = re.compile(r"(?<=[.!?])(?=\s)")
@@ -47,7 +47,7 @@ class Sentence(NamedTuple):
     """One sentence's tokens.
 
     :func:`tokenize` gives lowercase strings, words and punctuation marks;
-    :func:`cleanse` and :func:`resolve` give :class:`Token` pairs.
+    :func:`cleanse` and :func:`resolve` give :class:`Token` tuples.
     """
 
     index: int
@@ -98,9 +98,9 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
         table = lexicon.tokens.get
         for word in words:
             if word not in cache:
-                token = table(word) or _new(Token, (word, PLAIN))
+                token = table(word) or _new(Token, (word, "plain", None, None))
                 is_word = word.isalnum() or WORD_RE.search(word)  # isalnum() settles most words
-                cache[word] = token if is_word and token.token_class is not STOPWORD else None
+                cache[word] = token if is_word and token.kind != "stopword" else None
         kept = tuple(filter(None, map(cache.__getitem__, words)))
     return _new(Sentence, (sentence.index, kept))
 
@@ -159,11 +159,7 @@ def parse_article(text: str, origin: str = "<article>") -> RawArticle:
 
 def read_article(path: str | Path) -> RawArticle:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_article(text, origin=str(path))
+    return parse_article(read_utf8(path, CorpusError), origin=str(path))
 
 
 def load_corpus(directory: str | Path) -> list[RawArticle]:

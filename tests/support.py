@@ -43,7 +43,7 @@ e4
 
 def surfaces(lexicon, kind: str) -> list[str]:
     """The surfaces of one token kind, in the order the lexicon file declares them."""
-    return [s for s, token in lexicon.tokens.items() if token.token_class.kind == kind]
+    return [s for s, token in lexicon.tokens.items() if token.kind == kind]
 
 
 _PLAIN = ["alpha", "beta", "gamma", "delta", "omega"]

@@ -183,6 +183,13 @@ def test_report_entity_is_lowercased(capsys, trained_kb_path):
     assert len(upper.splitlines()) == 2
 
 
+def test_report_empty_entity_is_a_usage_error(capsys, trained_kb_path):
+    # No stored id is empty, so "" could only ever match every row or none.
+    code, out, err = run(capsys, "report", "--kb", trained_kb_path, "--entity", "")
+    assert (code, out) == (2, "")
+    assert "argument --entity: must not be empty" in err
+
+
 def test_report_json_matches_tsv_values(capsys, trained_kb_path):
     code, out, _ = run(capsys, "report", "--kb", trained_kb_path, "--format", "json")
     assert code == 0
@@ -231,6 +238,13 @@ def test_kb_export_outlet_is_lowercased(capsys, trained_kb_path):
     assert code == 0
     assert upper == lower
     assert "\tK\t" not in upper and "\nK\t" not in upper
+
+
+def test_kb_export_empty_outlet_is_a_usage_error(capsys, trained_kb_path):
+    # Not a silent fallback to the single outlet in the score history.
+    code, out, err = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "")
+    assert (code, out) == (2, "")
+    assert "argument --outlet: must not be empty" in err
 
 
 def test_report_has_no_matrices_option(capsys, trained_kb_path):
@@ -309,6 +323,23 @@ def test_train_save_keeps_file_mode(capsys, trained_kb_path, new_article_corpus)
     assert stat.S_IMODE(os.stat(trained_kb_path).st_mode) == 0o600
 
 
+def test_train_saves_past_a_stale_temp_file(capsys, tmp_path):
+    # A save killed before its rename leaves its temp file behind; a later
+    # train in a process with the same pid must still save.
+    kb_path = tmp_path / "kb.json"
+    stale = tmp_path / f".kb.json.{os.getpid()}.tmp"
+    stale.write_text("partial", encoding="utf-8")
+    code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, err) == (0, "")
+    assert "tendency andi -0.25 (negative)" in out
+    assert stale.read_text(encoding="utf-8") == "partial"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "kb.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(os.stat(kb_path).st_mode) == 0o666 & ~umask  # a new KB
+
+
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
 
 
@@ -342,6 +373,14 @@ def test_non_utf8_lexicon(capsys, tmp_path, kb_path):
     code, _, err = run(capsys, "lexicon", "validate", str(lexicon))
     assert code == 2
     assert "not UTF-8 text" in err
+
+
+def test_non_utf8_kb_names_the_file(capsys, tmp_path):
+    kb_path = tmp_path / "bad.kb.json"
+    kb_path.write_bytes(b"\xff{}")
+    code, out, err = run(capsys, "report", "--kb", str(kb_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: document: {kb_path}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("command", [("report",), ("kb", "export")],

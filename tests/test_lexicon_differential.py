@@ -16,7 +16,7 @@ import lexicon_oracle as oracle
 from conftest import FIXTURES
 from polisent.errors import DuplicateSurface, LexiconError, PolisentError
 from polisent.lexicon import load_lexicon
-from polisent.textpipe import Sentence, Token, resolve
+from polisent.textpipe import Sentence, resolve
 
 # Few words, so that declarations collide often.
 WORDS = ("k", "m", "Andi", "andi", "si", "anu", "baik", "BURUK", "tidak", "kata", "satu",
@@ -95,7 +95,7 @@ def classes(lexicon, tokens):
 
 def window_entity(lexicon, window):
     """The canonical id that ``resolve`` puts in place of the whole window, or None."""
-    given = tuple(Token(w, lexicon.lookup(w)) for w in window)
+    given = tuple(lexicon.lookup(w)._replace(normalized=w) for w in window)  # case kept
     tokens = resolve(Sentence(1, given), lexicon).tokens
     if len(tokens) == 1 and tokens[0] is not given[0]:
         return tokens[0].normalized

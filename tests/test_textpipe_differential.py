@@ -116,9 +116,9 @@ def check_stages(body, lexicon):
         assert [t.normalized for t in new_kept.tokens] == [t.normalized for t in old_kept.tokens]
         old_resolved, new_resolved = oracle.resolve(old_kept, lexicon), resolve(new_kept, lexicon)
         assert alias_hits(new_kept, new_resolved) == alias_hits(old_kept, old_resolved)
-        # The class each token carries is what the old extractor looked up.
-        assert [(t.normalized, t.token_class) for t in new_resolved.tokens] == [
-            (t.normalized, lexicon.lookup(t.normalized)) for t in old_resolved.tokens
+        # Each token carries the kind, valence and id the old extractor looked up.
+        assert list(new_resolved.tokens) == [
+            lexicon.lookup(t.normalized) for t in old_resolved.tokens
         ]
 
 
@@ -126,7 +126,7 @@ def check_article(body, lexicon, triples):
     new = process(body, lexicon)
     old = oracle.process(body, lexicon)
     assert [s.index for s in new] == [s.index for s in old]
-    assert [[(t.normalized, t.token_class.entity_id) for t in s.tokens] for s in new] == [
+    assert [[(t.normalized, t.entity_id) for t in s.tokens] for s in new] == [
         [(t.normalized, lexicon.lookup(t.normalized).entity_id) for t in s.tokens] for s in old
     ]
     article = RawArticle("a1", lexicon.outlet_id, body)

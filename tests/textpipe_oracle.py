@@ -47,7 +47,7 @@ def _entity_for_window(lexicon: Lexicon, window: tuple[str, ...]) -> str | None:
 
 def _max_alias_window(lexicon: Lexicon) -> int:
     return max(
-        (len(s.split()) for s, token in lexicon.tokens.items() if token.token_class.entity_id),
+        (len(s.split()) for s, token in lexicon.tokens.items() if token.entity_id),
         default=1,
     )
 
