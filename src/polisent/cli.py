@@ -17,9 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: train takes no lock
+    fcntl = None
 
 from . import kb as kbmod
 from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
@@ -34,9 +42,14 @@ from .lexicon import load_lexicon_file
 from .textpipe import load_corpus, read_article
 
 
+def _decimal(score) -> str:
+    """A score to four places, -1/4 -> "-0.2500", from the float that ``float(score)`` gives."""
+    return f"{score.numerator / score.denominator:.4f}"
+
+
 def _fmt_score(score) -> str:
     """Compact decimal for score lines: -1/4 -> "-0.25", -1 -> "-1"."""
-    text = f"{float(score):.4f}".rstrip("0").rstrip(".")
+    text = _decimal(score).rstrip("0").rstrip(".")
     if text == "-0":
         return "0"
     return text
@@ -52,19 +65,54 @@ def _load_kb_or_empty(path: str | Path) -> kbmod.KnowledgeBase:
     return kbmod.KnowledgeBase()
 
 
+@contextmanager
+def _kb_lock(path: str | Path) -> Iterator[None]:
+    """Hold an exclusive lock on the file ``.<name>.lock`` beside the KB at ``path``.
+
+    ``train`` holds it from loading the KB to replacing it, so a second
+    ``train`` fails at once rather than drop the first one's batch.  The
+    file stays: were it unlinked, a train holding the old file and one
+    that created a new one would both hold "the" lock.
+    """
+    head, name = os.path.split(path)
+    lock = os.path.join(head, f".{name}.lock")
+    try:
+        fd = os.open(lock, os.O_RDONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise OSError(f"cannot save {Path(path)}: {exc.strerror or exc}") from None
+    try:
+        if fcntl is not None:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise PolisentError(
+                    f"{Path(path)}: another train is writing it (lock file {lock} is held)"
+                ) from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
     """Write the document to a temp file beside ``path``, then rename it over.
 
     A crash at any point leaves either the old or the new document, and
     a failed save removes its temp file and names ``path``, not the temp
     file.  The temp name ends in a random suffix, so a temp file that a
-    killed save left behind blocks no later save.  The new file keeps the
-    mode of the one it replaces.
+    killed save left behind blocks no later save.  The save runs under
+    the train lock, so no other save of the KB is in flight, and it
+    removes every such file first.  The new file keeps the mode of the
+    one it replaces.
     """
     path = Path(path)
     text = kbmod.dumps(kb)
+    stale = re.compile(rf"\.{re.escape(path.name)}\.[0-9a-f]+\.tmp")  # a random or pid suffix
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
+        with os.scandir(path.parent) as entries:
+            for entry in entries:
+                if stale.fullmatch(entry.name):
+                    Path(entry.path).unlink(missing_ok=True)
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -98,23 +146,24 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     lexicon = load_lexicon_file(args.lexicon)
-    kb = _load_kb_or_empty(args.kb)
     lines = []  # printed once the KB is saved, so a failed save prints no result
-    for article in load_corpus(args.corpus):
-        try:
-            scored = kbmod.ingest(kb, article, lexicon)
-        except DuplicateArticle:
-            print(
-                f"warning: skipping already processed article {article.article_id}",
-                file=sys.stderr,
-            )
-            continue
-        lines += [f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})"
-                  for whom, score in scored.scores.items()]
-    for (outlet, whom), _ in kb.history.items():
-        tendency = outlet_tendency(kb.history, whom, outlet=outlet)
-        lines.append(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
-    _save_kb(kb, args.kb)
+    with _kb_lock(args.kb):
+        kb = _load_kb_or_empty(args.kb)
+        for article in load_corpus(args.corpus):
+            try:
+                scored = kbmod.ingest(kb, article, lexicon)
+            except DuplicateArticle:
+                print(
+                    f"warning: skipping already processed article {article.article_id}",
+                    file=sys.stderr,
+                )
+                continue
+            lines += [f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})"
+                      for whom, score in scored.scores.items()]
+        for (outlet, whom), _ in kb.history.items():
+            tendency = outlet_tendency(kb.history, whom, outlet=outlet)
+            lines.append(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
+        _save_kb(kb, args.kb)
     sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
@@ -146,7 +195,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "whom": whom,
                 "articles": len(entries),
                 "tendency": str(tendency),
-                "decimal": f"{float(tendency):.4f}",
+                "decimal": _decimal(tendency),
                 "classification": classify_score(tendency),
             }
         )

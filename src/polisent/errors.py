@@ -65,8 +65,18 @@ class CorruptDocument(PolisentError):
 
 
 def read_utf8(path: str | Path, error: Callable[[str], PolisentError]) -> str:
-    """The text of a UTF-8 file; ``error`` builds what a file that is not UTF-8 raises."""
+    """The text of a UTF-8 file; ``error`` builds what a file that is not UTF-8 raises.
+
+    One unbuffered binary read and one decode.  ``\\r\\n`` and a lone
+    ``\\r`` read as ``\\n``, as in text mode's universal newlines, and a
+    byte-order mark is kept as ``\\ufeff``.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text

@@ -58,6 +58,8 @@ _TOP_KEYS = frozenset({"version", "lexicon_fingerprint", "processed", "cells", "
 _CELL_KEYS = frozenset({"who", "whom", "p", "s"})
 _PAIR_KEYS = frozenset({"outlet", "whom", "scores"})
 _SCORE_KEYS = frozenset({"article_id", "num", "den"})
+# Builds a Cell without the Python-level ``__new__`` of a NamedTuple.
+_new = tuple.__new__
 
 
 @dataclass(repr=False)
@@ -269,7 +271,7 @@ def loads(text: str) -> KnowledgeBase:
             raise CorruptDocument(f"cells[{i}].p", f"|p| = {abs(p)} exceeds s = {s}")
         if (who, whom) in cells:
             raise CorruptDocument(f"cells[{i}]", f"duplicate cell key ({who!r}, {whom!r})")
-        cells[(who, whom)] = Cell(p, s)
+        cells[(who, whom)] = _new(Cell, (p, s))
 
     raw_history = document["history"]
     if type(raw_history) is not list:

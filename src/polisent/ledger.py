@@ -74,7 +74,7 @@ class PolarityLedger:
         cells = self._cells
         for key, cell in other._cells.items():
             old = cells.get(key)
-            cells[key] = cell if old is None else Cell(old.p + cell.p, old.s + cell.s)
+            cells[key] = cell if old is None else _new(Cell, (old.p + cell.p, old.s + cell.s))
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -104,9 +104,10 @@ def speaker_score(cell: Cell) -> Score:
 
 
 def classify_score(score: Score) -> str:
-    if score is NEUTRAL or score == 0:
+    """The sign of the score's numerator (denominators are positive), in words."""
+    if score is NEUTRAL or not score.numerator:
         return "neutral"
-    return "positive" if score > 0 else "negative"
+    return "positive" if score.numerator > 0 else "negative"
 
 
 def article_score(article_ledger: PolarityLedger, whom: str) -> Score:
@@ -150,7 +151,7 @@ class ArticleScoreHistory:
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
         if type(score) is not Fraction:  # ingest passes the one article_score built
             score = Fraction(score)
-        if not -1 <= score <= 1:
+        if abs(score.numerator) > score.denominator:
             raise ValueError(f"article score {score} outside [-1, 1]")
         entries = self._scores.get((outlet, whom))
         if entries is None:

@@ -22,6 +22,7 @@ canonical entity id.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,8 +159,8 @@ def parse_article(text: str, origin: str = "<article>") -> RawArticle:
 
 
 def read_article(path: str | Path) -> RawArticle:
-    path = Path(path)
-    return parse_article(read_utf8(path, CorpusError), origin=str(path))
+    path = str(Path(path))  # the form every message names, as load_corpus builds it
+    return parse_article(read_utf8(path, CorpusError), origin=path)
 
 
 def load_corpus(directory: str | Path) -> list[RawArticle]:
@@ -169,14 +170,26 @@ def load_corpus(directory: str | Path) -> list[RawArticle]:
     numeric ids to train them in numeric order.  The order decides the
     sarcasm flags and the score history, so existing corpora train as
     before.  Two files with the same article id are a :class:`CorpusError`.
+
+    Read, in name order, is every entry whose name ends in ``.txt``
+    (case-sensitively; hidden names and a bare ``.txt`` too), as
+    ``Path.glob("*.txt")`` lists them; one that is not a file fails its read.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
+    directory = str(Path(directory))
+    if not os.path.isdir(directory):
         raise CorpusError(f"{directory}: not a directory")
+    # Each path is the string that ``Path(directory) / name`` prints.
+    prefix = "" if directory == "." else os.path.join(directory, "")
+    try:
+        with os.scandir(directory) as entries:
+            names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))
+    except PermissionError:  # Path.glob lists an unreadable directory as empty
+        names = []
     articles = []
-    origins: dict[str, Path] = {}
-    for path in sorted(directory.glob("*.txt")):
-        article = read_article(path)
+    origins: dict[str, str] = {}
+    for name in names:
+        path = prefix + name
+        article = parse_article(read_utf8(path, CorpusError), origin=path)
         if article.article_id in origins:
             raise CorpusError(
                 f"{path}: article id {article.article_id!r} is also used by "

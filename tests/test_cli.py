@@ -300,7 +300,7 @@ def test_train_failed_save_keeps_old_kb(capsys, monkeypatch, trained_kb_path,
     assert "injected failure" in err
     assert Path(trained_kb_path).read_bytes() == before
     assert sorted(p.name for p in Path(trained_kb_path).parent.iterdir()) == [
-        "demo.kb.json", "extra"
+        ".demo.kb.json.lock", "demo.kb.json", "extra"
     ]
 
 
@@ -325,19 +325,51 @@ def test_train_save_keeps_file_mode(capsys, trained_kb_path, new_article_corpus)
 
 def test_train_saves_past_a_stale_temp_file(capsys, tmp_path):
     # A save killed before its rename leaves its temp file behind; a later
-    # train in a process with the same pid must still save.
+    # train in a process with the same pid must still save, and removes
+    # it.  The temp files of another KB whose name starts the same stay.
     kb_path = tmp_path / "kb.json"
     stale = tmp_path / f".kb.json.{os.getpid()}.tmp"
     stale.write_text("partial", encoding="utf-8")
+    (tmp_path / ".kb.json.old.0123456789abcdef.tmp").write_text("other", encoding="utf-8")
     code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON,
                          "--kb", kb_path)
     assert (code, err) == (0, "")
     assert "tendency andi -0.25 (negative)" in out
-    assert stale.read_text(encoding="utf-8") == "partial"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "kb.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".kb.json.lock", ".kb.json.old.0123456789abcdef.tmp", "kb.json"
+    ]
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(os.stat(kb_path).st_mode) == 0o666 & ~umask  # a new KB
+
+
+def test_train_fails_while_another_train_holds_the_lock(capsys, tmp_path, trained_kb_path,
+                                                        new_article_corpus):
+    # Two trains of one KB would each save their own batch, and the later
+    # rename would drop the earlier one's: the second fails before it loads.
+    fcntl = pytest.importorskip("fcntl")
+    before = Path(trained_kb_path).read_bytes()
+    lock = Path(trained_kb_path).with_name(".demo.kb.json.lock")
+    train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
+             "--kb", trained_kb_path)
+    fd = os.open(lock, os.O_RDONLY | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, out, err = run(capsys, *train)
+    finally:
+        os.close(fd)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {trained_kb_path}: another train is writing it "
+                   f"(lock file {lock} is held)\n")
+    assert Path(trained_kb_path).read_bytes() == before
+    # A train releases the lock whether it fails or saves.
+    bad = ("train", "--corpus", str(tmp_path / "nope"), "--lexicon", LEXICON,
+           "--kb", trained_kb_path)
+    assert run(capsys, *bad)[0] == 2
+    code, out, err = run(capsys, *train)
+    assert (code, err) == (0, "")
+    assert out.startswith("3 ")
+    assert run(capsys, *train)[0] == 0
 
 
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"

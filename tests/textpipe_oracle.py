@@ -6,6 +6,10 @@ extractor that looks every resolved token up again, as they stood before
 the single-pass rewrite.  The differential tests require the library to
 produce exactly what these produce.
 
+The corpus reader at the end, :func:`read_utf8`, :func:`read_article`
+and :func:`load_corpus`, is the pathlib version: ``Path.glob``, a
+sort of ``Path`` objects and a text-mode read per file.
+
 The only departure from the original text: the lexicon no longer offers
 ``entity_for_window`` and ``max_alias_window``, so :func:`_entity_for_window`
 and :func:`_max_alias_window` read the same facts through ``lookup`` and
@@ -17,10 +21,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 from polisent.analyzer import StatementRecord
+from polisent.errors import CorpusError, PolisentError
 from polisent.lexicon import WORD_RE, Lexicon
-from polisent.textpipe import RawArticle
+from polisent.textpipe import RawArticle, parse_article
 
 _TERMINATORS = ".!?"
 _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
@@ -164,3 +171,34 @@ def analyze_article(article: RawArticle, lexicon: Lexicon, prior=None) -> list[S
                     )
                 )
     return records
+
+
+def read_utf8(path: str | Path, error: Callable[[str], PolisentError]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_article(path: str | Path) -> RawArticle:
+    path = Path(path)
+    return parse_article(read_utf8(path, CorpusError), origin=str(path))
+
+
+def load_corpus(directory: str | Path) -> list[RawArticle]:
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise CorpusError(f"{directory}: not a directory")
+    articles = []
+    origins: dict[str, Path] = {}
+    for path in sorted(directory.glob("*.txt")):
+        article = read_article(path)
+        if article.article_id in origins:
+            raise CorpusError(
+                f"{path}: article id {article.article_id!r} is also used by "
+                f"{origins[article.article_id]}"
+            )
+        origins[article.article_id] = path
+        articles.append(article)
+    articles.sort(key=lambda a: a.article_id)
+    return articles
