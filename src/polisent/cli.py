@@ -15,6 +15,7 @@ Results go to stdout, diagnostics to stderr.  Exit status 0 on success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -74,6 +75,8 @@ def _kb_lock(path: str | Path) -> Iterator[None]:
     file stays: were it unlinked, a train holding the old file and one
     that created a new one would both hold "the" lock.
     """
+    if os.path.isdir(path):  # the load would fail anyway; fail before leaving a lock file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     head, name = os.path.split(path)
     lock = os.path.join(head, f".{name}.lock")
     try:
@@ -102,7 +105,8 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
     killed save left behind blocks no later save.  The save runs under
     the train lock, so no other save of the KB is in flight, and it
     removes every such file first.  The new file keeps the mode of the
-    one it replaces.
+    one it replaces.  Once the directory holding the rename is synced
+    too, the new document survives a power loss.
     """
     path = Path(path)
     text = kbmod.dumps(kb)
@@ -125,6 +129,12 @@ def _save_kb(kb: kbmod.KnowledgeBase, path: str | Path) -> None:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        if os.name == "posix":  # elsewhere a directory cannot be opened
+            fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot save {path}: {exc.strerror or exc}") from None
 

@@ -30,7 +30,6 @@ so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -62,14 +61,28 @@ _SCORE_KEYS = frozenset({"article_id", "num", "den"})
 _new = tuple.__new__
 
 
-@dataclass(repr=False)
 class KnowledgeBase:
-    """Evolving training state built up one article at a time."""
+    """Evolving training state built up one article at a time.
 
-    cumulative: PolarityLedger = field(default_factory=PolarityLedger)
-    history: ArticleScoreHistory = field(default_factory=ArticleScoreHistory)
-    processed: set[str] = field(default_factory=set)
-    lexicon_fingerprint: str | None = None
+    Each field left out starts empty and belongs to this instance alone.
+    """
+
+    def __init__(
+        self,
+        cumulative: PolarityLedger | None = None,
+        history: ArticleScoreHistory | None = None,
+        processed: set[str] | None = None,
+        lexicon_fingerprint: str | None = None,
+    ) -> None:
+        self.cumulative = PolarityLedger() if cumulative is None else cumulative
+        self.history = ArticleScoreHistory() if history is None else history
+        self.processed = set() if processed is None else processed
+        self.lexicon_fingerprint = lexicon_fingerprint
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)  # the four fields above
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,8 +36,9 @@ _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
 _HEADER_RE = re.compile(r"^@article\s+(\S+)\s+@outlet\s+(\S+)\s*$")
 
 
-@dataclass(frozen=True)
-class RawArticle:
+class RawArticle(NamedTuple):
+    """One article as read: its id, its lowercased outlet id and its body."""
+
     article_id: str
     outlet_id: str
     body: str
@@ -55,7 +55,7 @@ class Sentence(NamedTuple):
     tokens: tuple[str, ...] | tuple[Token, ...]
 
 
-# Builds a Token or a Sentence without the Python-level ``__new__`` of a NamedTuple.
+# Builds a RawArticle, a Token or a Sentence without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
 
@@ -154,8 +154,7 @@ def parse_article(text: str, origin: str = "<article>") -> RawArticle:
         raise CorpusError(
             f"{origin}: first line must be '@article <id> @outlet <id>'"
         )
-    return RawArticle(article_id=match.group(1), outlet_id=match.group(2).lower(),
-                      body=body)
+    return _new(RawArticle, (match.group(1), match.group(2).lower(), body))
 
 
 def read_article(path: str | Path) -> RawArticle:
@@ -169,7 +168,8 @@ def load_corpus(directory: str | Path) -> list[RawArticle]:
     Ids compare as strings, so ``"10"`` comes before ``"2"``; zero-pad
     numeric ids to train them in numeric order.  The order decides the
     sarcasm flags and the score history, so existing corpora train as
-    before.  Two files with the same article id are a :class:`CorpusError`.
+    before.  Two files with the same article id are a :class:`CorpusError`,
+    and so is a directory whose listing is denied.
 
     Read, in name order, is every entry whose name ends in ``.txt``
     (case-sensitively; hidden names and a bare ``.txt`` too), as
@@ -183,8 +183,8 @@ def load_corpus(directory: str | Path) -> list[RawArticle]:
     try:
         with os.scandir(directory) as entries:
             names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))
-    except PermissionError:  # Path.glob lists an unreadable directory as empty
-        names = []
+    except PermissionError:
+        raise CorpusError(f"{directory}: cannot list the directory (permission denied)") from None
     articles = []
     origins: dict[str, str] = {}
     for name in names:

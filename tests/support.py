@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -61,6 +62,21 @@ def run_cli(capsys, *argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def deny_listing(monkeypatch, directory) -> None:
+    """Make ``os.scandir`` of ``directory`` raise as a mode of ``0o300`` does.
+
+    Unlike a real mode, this holds for a superuser too.
+    """
+    scandir = os.scandir
+
+    def denied(path="."):
+        if os.path.samefile(path, directory):
+            raise PermissionError(13, "Permission denied", str(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", denied)
 
 
 def history_entries(history, outlet: str, whom: str) -> list[tuple[str, Fraction]]:

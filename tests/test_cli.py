@@ -1,16 +1,19 @@
+import errno
 import json
 import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 from polisent.cli import _fmt_score
-from support import run_cli as run
+from support import deny_listing, run_cli as run
 
 LEXICON = str(FIXTURES / "lexicon.txt")
 CORPUS = str(FIXTURES / "corpus")
@@ -26,6 +29,18 @@ def trained_kb_path(capsys, kb_path):
     code, _, _ = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", kb_path)
     assert code == 0
     return kb_path
+
+
+def test_cli_import_loads_no_dataclasses_chain():
+    # Every command is a fresh process, so each one pays for the import;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize.
+    script = ("import sys; before = set(sys.modules); import polisent.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    new = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "polisent.cli" in new
+    assert {"dataclasses", "inspect", "ast", "dis"}.isdisjoint(new)
 
 
 def test_lexicon_validate_ok(capsys):
@@ -341,6 +356,55 @@ def test_train_saves_past_a_stale_temp_file(capsys, tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(os.stat(kb_path).st_mode) == 0o666 & ~umask  # a new KB
+
+
+def test_train_save_syncs_the_file_then_the_directory(capsys, monkeypatch, tmp_path):
+    # The temp file is synced before the rename and the directory after it,
+    # so the new document survives a power loss once train returns.
+    kb_path = tmp_path / "kb.json"
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append(("fsync", os.fstat(fd)))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append(("replace", None))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    code, _, _ = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", kb_path)
+    assert code == 0
+    assert [name for name, _ in calls] == ["fsync", "replace", "fsync"]
+    synced_file, synced_directory = calls[0][1], calls[2][1]
+    assert stat.S_ISREG(synced_file.st_mode)
+    assert synced_file.st_ino == kb_path.stat().st_ino  # the temp file, now the KB
+    assert stat.S_ISDIR(synced_directory.st_mode)
+    assert synced_directory.st_ino == tmp_path.stat().st_ino
+
+
+@pytest.mark.parametrize("kb", ["kbdir", "kbdir/", "."])
+def test_train_into_a_directory_leaves_no_lock_file(capsys, monkeypatch, tmp_path, kb):
+    # A KB path naming a directory fails before the lock file beside it is made.
+    monkeypatch.chdir(tmp_path)
+    Path("kbdir").mkdir()
+    code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", kb)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {kb!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kbdir"]
+    assert list(Path("kbdir").iterdir()) == []
+
+
+def test_train_unlistable_corpus_exits_2(capsys, monkeypatch, kb_path):
+    # A corpus read as empty would exit 0 having ingested nothing.
+    deny_listing(monkeypatch, CORPUS)
+    code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {CORPUS}: cannot list the directory (permission denied)\n"
+    assert not Path(kb_path).exists()
 
 
 def test_train_fails_while_another_train_holds_the_lock(capsys, tmp_path, trained_kb_path,

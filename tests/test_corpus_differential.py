@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import textpipe_oracle as oracle
 from polisent.errors import CorpusError, LexiconError, read_utf8
 from polisent.textpipe import load_corpus, read_article
+from support import deny_listing
 
 
 def outcome(function, *args):
@@ -105,6 +106,15 @@ def test_load_corpus_unreadable_directory_matches_oracle(tmp_path):
         assert outcome(load_corpus, corpus) == outcome(oracle.load_corpus, corpus)
     finally:
         corpus.chmod(0o700)
+
+
+def test_load_corpus_unlistable_directory_is_an_error(tmp_path, monkeypatch):
+    # Denied the listing, both readers raise rather than read an empty corpus.
+    corpus = build(tmp_path / "corpus", CORPORA["plain"])
+    deny_listing(monkeypatch, corpus)
+    expected = ("error", CorpusError, f"{corpus}: cannot list the directory (permission denied)")
+    assert outcome(load_corpus, corpus) == expected
+    assert outcome(oracle.load_corpus, corpus) == expected
 
 
 @pytest.mark.parametrize("argument", ["c/1.txt", "./c/1.txt", "c//1.txt", "c/./1.txt",

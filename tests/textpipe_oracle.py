@@ -8,7 +8,9 @@ produce exactly what these produce.
 
 The corpus reader at the end, :func:`read_utf8`, :func:`read_article`
 and :func:`load_corpus`, is the pathlib version: ``Path.glob``, a
-sort of ``Path`` objects and a text-mode read per file.
+sort of ``Path`` objects and a text-mode read per file.  One deliberate
+change since: ``Path.glob`` lists a directory whose listing is denied as
+empty, and :func:`load_corpus` raises a ``CorpusError`` for it instead.
 
 The only departure from the original text: the lexicon no longer offers
 ``entity_for_window`` and ``max_alias_window``, so :func:`_entity_for_window`
@@ -19,6 +21,7 @@ so ``lookup`` reads the same table entry.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,6 +192,10 @@ def load_corpus(directory: str | Path) -> list[RawArticle]:
     directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"{directory}: not a directory")
+    try:
+        os.scandir(directory).close()
+    except PermissionError:
+        raise CorpusError(f"{directory}: cannot list the directory (permission denied)") from None
     articles = []
     origins: dict[str, Path] = {}
     for path in sorted(directory.glob("*.txt")):
