@@ -13,6 +13,7 @@ a fixed ingestion order), conventionally stored as ``*.kb.json``::
     }
 
 Rationals are written as numerator/denominator pairs in lowest terms.
+``load`` reads the file and ``update`` is the one way to write it.
 
 ``dumps`` writes the text of ``json.dumps(document, sort_keys=True,
 indent=2, ensure_ascii=False)`` by hand: with ``indent`` set the
@@ -29,17 +30,30 @@ so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
+import stat
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import NamedTuple
+from pathlib import Path
+from typing import Iterator, NamedTuple
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: update takes no lock
+    fcntl = None
 
 from .analyzer import StatementRecord, analyze_article
 from .errors import (
     CorruptDocument,
     DuplicateArticle,
     LexiconMismatch,
+    PolisentError,
     VersionMismatch,
+    read_utf8,
 )
 from .ledger import (
     ArticleScoreHistory,
@@ -371,3 +385,87 @@ def loads(text: str) -> KnowledgeBase:
         processed=processed,
         lexicon_fingerprint=fingerprint,
     )
+
+
+def load(path: str | Path, missing_ok: bool = False) -> KnowledgeBase:
+    """The knowledge base in the file at ``path``; with ``missing_ok``, an empty one if none."""
+    if missing_ok and not os.path.exists(path):
+        return KnowledgeBase()
+    return loads(read_utf8(path, lambda message: CorruptDocument("document", message)))
+
+
+@contextmanager
+def update(path: str | Path) -> Iterator[KnowledgeBase]:
+    """Yield the knowledge base at ``path`` (empty if absent) and save it if the block succeeds.
+
+    An exclusive ``flock`` on ``.<name>.lock`` beside the KB is held from
+    the load to the rename, so a second update fails at once rather than
+    drop the first one's batch.  The lock file stays: were it unlinked,
+    an update holding the old file and one that created a new one would
+    both hold "the" lock.  A symlink at ``path`` is resolved once: the
+    lock and the save act on its target, and messages name ``path``.
+    """
+    if os.path.isdir(path):  # the load would fail anyway; fail before leaving a lock file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    head, name = os.path.split(target)
+    lock = os.path.join(head, f".{name}.lock")
+    try:
+        fd = os.open(lock, os.O_RDONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise OSError(f"cannot save {Path(path)}: {exc.strerror or exc}") from None
+    try:
+        if fcntl is not None:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise PolisentError(
+                    f"{Path(path)}: another train is writing it (lock file {lock} is held)"
+                ) from None
+        kb = load(path, missing_ok=True)
+        yield kb
+        _save(kb, Path(target), Path(path))
+    finally:
+        os.close(fd)
+
+
+def _save(kb: KnowledgeBase, path: Path, shown: Path) -> None:
+    """Write the document to a temp file beside ``path``, then rename it over.
+
+    A crash at any point leaves either the old or the new document, and
+    a failed save removes its temp file and names ``shown``, not the temp
+    file.  The temp name ends in a random suffix, so a temp file that a
+    killed save left behind blocks no later save; under the lock no
+    other save is in flight, so the save removes every such file first.
+    The new file keeps the mode of the one it replaces.  Once the
+    directory holding the rename is synced too, the new document
+    survives a power loss.
+    """
+    text = dumps(kb)
+    stale = re.compile(rf"\.{re.escape(path.name)}\.[0-9a-f]+\.tmp")  # a random or pid suffix
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with os.scandir(path.parent) as entries:
+            for entry in entries:
+                if stale.fullmatch(entry.name):
+                    Path(entry.path).unlink(missing_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            if path.exists():
+                os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        if os.name == "posix":  # elsewhere a directory cannot be opened
+            fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+    except OSError as exc:
+        raise OSError(f"cannot save {shown}: {exc.strerror or exc}") from None

@@ -55,7 +55,7 @@ class Sentence(NamedTuple):
     tokens: tuple[str, ...] | tuple[Token, ...]
 
 
-# Builds a RawArticle, a Token or a Sentence without the Python-level ``__new__`` of a NamedTuple.
+# Builds a RawArticle or a Sentence without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
 
@@ -86,20 +86,17 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     """Drop stopwords and punctuation tokens, keeping order.
 
     Expects a tokenized sentence.  Each word is read from the lexicon's
-    word cache.  A word it lacks is classified once, with one read of the
-    token table, and this is the one place that decides what is kept: a
-    word with a word character that is not a stopword.  A kept declared
-    word is the table's shared token, a kept unknown word a new ``plain``
-    one; a dropped word is cached as ``None``.
+    word cache.  A word it lacks is classified once, by ``Lexicon.lookup``,
+    and this is the one place that decides what is kept: a word with a
+    word character that is not a stopword.  A dropped word is cached as ``None``.
     """
     words, cache = sentence.tokens, lexicon.word_cache
     try:
         kept = tuple(filter(None, map(cache.__getitem__, words)))
     except KeyError:
-        table = lexicon.tokens.get
         for word in words:
             if word not in cache:
-                token = table(word) or _new(Token, (word, "plain", None, None))
+                token = lexicon.lookup(word)
                 is_word = word.isalnum() or WORD_RE.search(word)  # isalnum() settles most words
                 cache[word] = token if is_word and token.kind != "stopword" else None
         kept = tuple(filter(None, map(cache.__getitem__, words)))

@@ -176,20 +176,23 @@ def test_trace_renders_outlet_as_zero():
 
 
 def test_each_word_looked_up_once(corpus, monkeypatch):
-    """One read of the token table per distinct word, in first-seen order, and no lookup.
+    """One lookup and one read of the token table per distinct word, in first-seen order.
 
     The lexicon is loaded here: the session fixture's word cache is warm.
     """
     lexicon = load_lexicon_file(FIXTURES / "lexicon.txt")
-    read = []
+    read, looked_up = [], []
 
     class Counted(dict):
         def get(self, key, default=None):
             read.append(key)
             return super().get(key, default)
 
+    original = Lexicon.lookup
+
     def lookup(self, token):
-        raise AssertionError(f"{token!r} classified through lookup")
+        looked_up.append(token)
+        return original(self, token)
 
     monkeypatch.setattr(lexicon, "tokens", Counted(lexicon.tokens))
     monkeypatch.setattr(Lexicon, "lookup", lookup)
@@ -197,7 +200,7 @@ def test_each_word_looked_up_once(corpus, monkeypatch):
     for article in corpus:
         analyze_article(article, lexicon)
         words += [token for text in segment(article.body) for token in tokenize(text, 1).tokens]
-        assert read == list(dict.fromkeys(words))
+        assert looked_up == read == list(dict.fromkeys(words))
     assert len(read) < len(words)  # the articles repeat words
     analyze_article(corpus[0], lexicon)
-    assert read == list(dict.fromkeys(words))
+    assert looked_up == read == list(dict.fromkeys(words))

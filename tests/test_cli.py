@@ -436,6 +436,160 @@ def test_train_fails_while_another_train_holds_the_lock(capsys, tmp_path, traine
     assert run(capsys, *train)[0] == 0
 
 
+def train_bytes(capsys, kb_path, corpus):
+    """The bytes ``kb_path`` would hold after a clean train of ``corpus``, and its stdout.
+
+    The train runs on a copy, so ``kb_path`` is left as it is.
+    """
+    copy = Path(kb_path).parent / "clean" / "kb.json"
+    copy.parent.mkdir()
+    shutil.copy(kb_path, copy)
+    code, out, err = run(capsys, "train", "--corpus", corpus, "--lexicon", LEXICON, "--kb", copy)
+    assert (code, err) == (0, "")
+    data = copy.read_bytes()
+    shutil.rmtree(copy.parent)
+    return data, out
+
+
+def test_train_through_a_symlink_updates_its_target(capsys, tmp_path, trained_kb_path,
+                                                    new_article_corpus):
+    # Renaming over the link would replace it with a file and leave the
+    # target without the batch; a lock beside the link would not exclude
+    # a train through the target's own path.
+    fcntl = pytest.importorskip("fcntl")
+    target = Path(trained_kb_path)
+    expected, expected_out = train_bytes(capsys, target, new_article_corpus)
+    link = tmp_path / "a" / "kb.json"
+    link.parent.mkdir()
+    link.symlink_to(Path("..") / target.name)
+    train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON, "--kb", link)
+    code, out, err = run(capsys, *train)
+    assert (code, out, err) == (0, expected_out, "")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == expected
+    assert [p.name for p in link.parent.iterdir()] == ["kb.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".demo.kb.json.lock", "a", "demo.kb.json", "extra"
+    ]
+    lock = target.with_name(".demo.kb.json.lock")
+    fd = os.open(lock, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, out, err = run(capsys, *train)
+    finally:
+        os.close(fd)
+    assert (code, out) == (2, "")
+    assert err == f"error: {link}: another train is writing it (lock file {lock} is held)\n"
+    assert link.is_symlink() and target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", ""),
+    ("train", "--corpus", "", "--lexicon", LEXICON, "--kb", "kb.json"),
+    ("analyze", str(FIXTURES / "corpus" / "1.txt"), "--lexicon", LEXICON, "--kb", ""),
+    ("report", "--kb", ""),
+    ("kb", "export", "--kb", ""),
+], ids=["train-kb", "train-corpus", "analyze-kb", "report-kb", "export-kb"])
+def test_empty_path_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # An empty --kb made train leave "..lock" in the working directory, and an
+    # empty --corpus trained every *.txt there.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(FIXTURES / "corpus" / "1.txt", "1.txt")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    option = argv[argv.index("") - 1]
+    assert err.endswith(f"error: argument {option}: must not be empty\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["1.txt"]
+
+
+# Each OS step of a save, in the order a train runs them; the last two
+# come after the rename.
+SAVE_STEPS = ["lock open", "sweep scandir", "sweep unlink", "temp open", "write",
+              "file fsync", "chmod", "replace", "directory open", "directory fsync"]
+
+
+def fail_save_step_once(monkeypatch, step, kb_dir):
+    """Make ``step`` of the next save beside ``kb_dir`` raise ``OSError`` once.
+
+    Returns a list that holds ``step`` once the fault has fired.
+    """
+    fired = []
+
+    def fault(hit):
+        if hit and not fired:
+            fired.append(step)
+            raise OSError(errno.EIO, f"injected {step} fault")
+
+    def wrap(owner, name, hit):
+        original = getattr(owner, name)
+
+        def faulty(*args, **kwargs):
+            fault(hit(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, faulty)
+
+    def fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        write = handle.write
+        handle.write = lambda text: fault(step == "write") or write(text)
+        return handle
+
+    def fsync_hit(fd):
+        mode = os.fstat(fd).st_mode
+        return step == ("directory fsync" if stat.S_ISDIR(mode) else "file fsync")
+
+    def open_hit(path, *args):
+        kind = "lock" if str(path).endswith(".lock") else "temp" if str(path).endswith(
+            ".tmp") else "directory" if os.path.isdir(path) else None
+        return step == f"{kind} open"
+
+    real_fdopen = os.fdopen
+    wrap(os, "open", open_hit)
+    wrap(os, "scandir", lambda path=".": step == "sweep scandir" and os.path.samefile(
+        path, kb_dir))
+    wrap(Path, "unlink", lambda path, *args: step == "sweep unlink")
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    wrap(os, "fsync", fsync_hit)
+    wrap(os, "chmod", lambda *args: step == "chmod")
+    wrap(os, "replace", lambda *args: step == "replace")
+    return fired
+
+
+@pytest.mark.parametrize("step", SAVE_STEPS)
+def test_train_survives_a_fault_at_each_save_step(capsys, monkeypatch, tmp_path,
+                                                  trained_kb_path, new_article_corpus, step):
+    # A failed step exits 2 naming the KB and leaves no temp file of its
+    # own; the KB holds the old document until the rename and the new
+    # one after it.  A train without the fault then saves as usual.
+    if step.startswith("directory") and os.name != "posix":
+        pytest.skip("a directory is synced only on POSIX")
+    kb_path = Path(trained_kb_path)
+    before = kb_path.read_bytes()
+    after, _ = train_bytes(capsys, kb_path, new_article_corpus)
+    stale = kb_path.with_name(".demo.kb.json.0123456789abcdef.tmp")  # a killed save's
+    stale.write_text("partial", encoding="utf-8")
+    train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON, "--kb", kb_path)
+    with monkeypatch.context() as patch:
+        fired = fail_save_step_once(patch, step, tmp_path)
+        code, out, err = run(capsys, *train)
+    assert fired == [step]
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot save {kb_path}: injected {step} fault\n"
+    swept = SAVE_STEPS.index(step) > SAVE_STEPS.index("sweep unlink")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [".demo.kb.json.lock", "demo.kb.json", "extra", *([] if swept else [stale.name])]
+    )
+    renamed = SAVE_STEPS.index(step) > SAVE_STEPS.index("replace")
+    assert kb_path.read_bytes() == (after if renamed else before)
+    code, _, _ = run(capsys, *train)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".demo.kb.json.lock", "demo.kb.json", "extra"
+    ]
+    assert kb_path.read_bytes() == after
+
+
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
 
 

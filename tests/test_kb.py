@@ -294,3 +294,26 @@ def test_empty_kbs_are_equal_and_share_no_state():
 def test_kb_repr_counts_articles_cells_and_pairs(trained_kb):
     assert repr(KnowledgeBase()) == "KnowledgeBase(articles=0, cells=0, pairs=0)"
     assert repr(trained_kb) == "KnowledgeBase(articles=2, cells=6, pairs=3)"
+
+
+def test_load_missing_file(tmp_path):
+    path = tmp_path / "kb.json"
+    assert kbmod.load(path, missing_ok=True) == KnowledgeBase()
+    with pytest.raises(FileNotFoundError):
+        kbmod.load(path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_update_saves_only_when_the_block_succeeds(tmp_path, lexicon, article1, article2):
+    path = tmp_path / "kb.json"
+    with kbmod.update(path) as kb:
+        assert kb == KnowledgeBase()
+        ingest(kb, article1, lexicon)
+    saved = path.read_bytes()
+    assert saved == kbmod.dumps(kb).encode("utf-8")
+    with pytest.raises(DuplicateArticle):
+        with kbmod.update(path) as kb:
+            ingest(kb, article2, lexicon)
+            ingest(kb, article1, lexicon)
+    assert path.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".kb.json.lock", "kb.json"]
