@@ -9,13 +9,14 @@ Commands::
     polisent kb export --kb <path> [--outlet <id>]
 
 Results go to stdout, diagnostics to stderr.  Exit status 0 on success,
-2 on usage or input errors.
+2 on usage or input errors, 1 if stdout is closed before all is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import kb as kbmod
@@ -193,7 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader is gone, as with `| head`: stop quietly
+        # As the Python docs' note on SIGPIPE advises: the flush at exit goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PolisentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,18 +33,12 @@ from __future__ import annotations
 import errno
 import json
 import os
-import re
 import stat
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, NamedTuple
-
-try:
-    import fcntl
-except ImportError:  # not POSIX: update takes no lock
-    fcntl = None
 
 from .analyzer import StatementRecord, analyze_article
 from .errors import (
@@ -388,10 +382,17 @@ def loads(text: str) -> KnowledgeBase:
 
 
 def load(path: str | Path, missing_ok: bool = False) -> KnowledgeBase:
-    """The knowledge base in the file at ``path``; with ``missing_ok``, an empty one if none."""
-    if missing_ok and not os.path.exists(path):
-        return KnowledgeBase()
-    return loads(read_utf8(path, lambda message: CorruptDocument("document", message)))
+    """The knowledge base in the file at ``path``; with ``missing_ok``, an empty one if none.
+
+    Only a file that is not there is missing: one that cannot be read raises.
+    """
+    try:
+        text = read_utf8(path, lambda message: CorruptDocument("document", message))
+    except FileNotFoundError:
+        if missing_ok:
+            return KnowledgeBase()
+        raise
+    return loads(text)
 
 
 @contextmanager
@@ -405,23 +406,21 @@ def update(path: str | Path) -> Iterator[KnowledgeBase]:
     both hold "the" lock.  A symlink at ``path`` is resolved once: the
     lock and the save act on its target, and messages name ``path``.
     """
+    import fcntl  # POSIX only, so imported here: the other commands run anywhere
     if os.path.isdir(path):  # the load would fail anyway; fail before leaving a lock file
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     target = os.path.realpath(path) if os.path.islink(path) else path
-    head, name = os.path.split(target)
-    lock = os.path.join(head, f".{name}.lock")
+    lock = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.lock")
     try:
         fd = os.open(lock, os.O_RDONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise OSError(f"cannot save {Path(path)}: {exc.strerror or exc}") from None
     try:
-        if fcntl is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except BlockingIOError:
-                raise PolisentError(
-                    f"{Path(path)}: another train is writing it (lock file {lock} is held)"
-                ) from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PolisentError(f"{Path(path)}: another train is writing it "
+                                f"(lock file {lock} is held)") from None
         kb = load(path, missing_ok=True)
         yield kb
         _save(kb, Path(target), Path(path))
@@ -430,25 +429,18 @@ def update(path: str | Path) -> Iterator[KnowledgeBase]:
 
 
 def _save(kb: KnowledgeBase, path: Path, shown: Path) -> None:
-    """Write the document to a temp file beside ``path``, then rename it over.
+    """Write the document to ``.<name>.tmp`` beside ``path``, then rename it over.
 
-    A crash at any point leaves either the old or the new document, and
-    a failed save removes its temp file and names ``shown``, not the temp
-    file.  The temp name ends in a random suffix, so a temp file that a
-    killed save left behind blocks no later save; under the lock no
-    other save is in flight, so the save removes every such file first.
-    The new file keeps the mode of the one it replaces.  Once the
-    directory holding the rename is synced too, the new document
-    survives a power loss.
+    A crash at any point leaves the old or the new document, and a failed
+    save removes its temp file and names ``shown``.  Under the lock no other
+    save is in flight, so the temp name is fixed and a killed save's is
+    removed first.  The new file keeps the old one's mode, and the directory
+    is synced after the rename, so the new document survives a power loss.
     """
     text = dumps(kb)
-    stale = re.compile(rf"\.{re.escape(path.name)}\.[0-9a-f]+\.tmp")  # a random or pid suffix
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with os.scandir(path.parent) as entries:
-            for entry in entries:
-                if stale.fullmatch(entry.name):
-                    Path(entry.path).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -461,11 +453,10 @@ def _save(kb: KnowledgeBase, path: Path, shown: Path) -> None:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        if os.name == "posix":  # elsewhere a directory cannot be opened
-            fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot save {shown}: {exc.strerror or exc}") from None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import os
 import random
 from fractions import Fraction
@@ -77,6 +78,24 @@ def deny_listing(monkeypatch, directory) -> None:
         return scandir(path)
 
     monkeypatch.setattr(os, "scandir", denied)
+
+
+def deny_reading(monkeypatch, path) -> None:
+    """Make ``os.stat`` and ``open`` of ``path`` raise as a directory without search rights does.
+
+    Unlike a real mode, this holds for a superuser too.
+    """
+    stat, open_ = os.stat, builtins.open
+
+    def denying(original):
+        def denied(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return original(file, *args, **kwargs)
+        return denied
+
+    monkeypatch.setattr(os, "stat", denying(stat))
+    monkeypatch.setattr(builtins, "open", denying(open_))
 
 
 def history_entries(history, outlet: str, whom: str) -> list[tuple[str, Fraction]]:

@@ -1,11 +1,14 @@
 import errno
+import fcntl
 import json
 import os
 import re
 import shutil
+import signal
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import pytest
 
 from conftest import FIXTURES, REPO
 from polisent.cli import _fmt_score
-from support import deny_listing, run_cli as run
+from support import deny_listing, deny_reading, run_cli as run
 
 LEXICON = str(FIXTURES / "lexicon.txt")
 CORPUS = str(FIXTURES / "corpus")
@@ -340,10 +343,10 @@ def test_train_save_keeps_file_mode(capsys, trained_kb_path, new_article_corpus)
 
 def test_train_saves_past_a_stale_temp_file(capsys, tmp_path):
     # A save killed before its rename leaves its temp file behind; a later
-    # train in a process with the same pid must still save, and removes
-    # it.  The temp files of another KB whose name starts the same stay.
+    # train must still save, and removes it.  The temp files of another
+    # KB whose name starts the same stay.
     kb_path = tmp_path / "kb.json"
-    stale = tmp_path / f".kb.json.{os.getpid()}.tmp"
+    stale = tmp_path / ".kb.json.tmp"
     stale.write_text("partial", encoding="utf-8")
     (tmp_path / ".kb.json.old.0123456789abcdef.tmp").write_text("other", encoding="utf-8")
     code, out, err = run(capsys, "train", "--corpus", CORPUS, "--lexicon", LEXICON,
@@ -411,7 +414,6 @@ def test_train_fails_while_another_train_holds_the_lock(capsys, tmp_path, traine
                                                         new_article_corpus):
     # Two trains of one KB would each save their own batch, and the later
     # rename would drop the earlier one's: the second fails before it loads.
-    fcntl = pytest.importorskip("fcntl")
     before = Path(trained_kb_path).read_bytes()
     lock = Path(trained_kb_path).with_name(".demo.kb.json.lock")
     train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON,
@@ -456,7 +458,6 @@ def test_train_through_a_symlink_updates_its_target(capsys, tmp_path, trained_kb
     # Renaming over the link would replace it with a file and leave the
     # target without the batch; a lock beside the link would not exclude
     # a train through the target's own path.
-    fcntl = pytest.importorskip("fcntl")
     target = Path(trained_kb_path)
     expected, expected_out = train_bytes(capsys, target, new_article_corpus)
     link = tmp_path / "a" / "kb.json"
@@ -504,12 +505,12 @@ def test_empty_path_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
 
 # Each OS step of a save, in the order a train runs them; the last two
 # come after the rename.
-SAVE_STEPS = ["lock open", "sweep scandir", "sweep unlink", "temp open", "write",
-              "file fsync", "chmod", "replace", "directory open", "directory fsync"]
+SAVE_STEPS = ["lock open", "stale unlink", "temp open", "write", "file fsync", "chmod",
+              "replace", "directory open", "directory fsync"]
 
 
-def fail_save_step_once(monkeypatch, step, kb_dir):
-    """Make ``step`` of the next save beside ``kb_dir`` raise ``OSError`` once.
+def fail_save_step_once(monkeypatch, step):
+    """Make ``step`` of the next save raise ``OSError`` once.
 
     Returns a list that holds ``step`` once the fault has fired.
     """
@@ -546,9 +547,7 @@ def fail_save_step_once(monkeypatch, step, kb_dir):
 
     real_fdopen = os.fdopen
     wrap(os, "open", open_hit)
-    wrap(os, "scandir", lambda path=".": step == "sweep scandir" and os.path.samefile(
-        path, kb_dir))
-    wrap(Path, "unlink", lambda path, *args: step == "sweep unlink")
+    wrap(Path, "unlink", lambda path, *args: step == "stale unlink")
     monkeypatch.setattr(os, "fdopen", fdopen)
     wrap(os, "fsync", fsync_hit)
     wrap(os, "chmod", lambda *args: step == "chmod")
@@ -562,23 +561,21 @@ def test_train_survives_a_fault_at_each_save_step(capsys, monkeypatch, tmp_path,
     # A failed step exits 2 naming the KB and leaves no temp file of its
     # own; the KB holds the old document until the rename and the new
     # one after it.  A train without the fault then saves as usual.
-    if step.startswith("directory") and os.name != "posix":
-        pytest.skip("a directory is synced only on POSIX")
     kb_path = Path(trained_kb_path)
     before = kb_path.read_bytes()
     after, _ = train_bytes(capsys, kb_path, new_article_corpus)
-    stale = kb_path.with_name(".demo.kb.json.0123456789abcdef.tmp")  # a killed save's
+    stale = kb_path.with_name(".demo.kb.json.tmp")  # a killed save's
     stale.write_text("partial", encoding="utf-8")
     train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON, "--kb", kb_path)
     with monkeypatch.context() as patch:
-        fired = fail_save_step_once(patch, step, tmp_path)
+        fired = fail_save_step_once(patch, step)
         code, out, err = run(capsys, *train)
     assert fired == [step]
     assert (code, out) == (2, "")
     assert err == f"error: cannot save {kb_path}: injected {step} fault\n"
-    swept = SAVE_STEPS.index(step) > SAVE_STEPS.index("sweep unlink")
+    removed = SAVE_STEPS.index(step) > SAVE_STEPS.index("stale unlink")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [".demo.kb.json.lock", "demo.kb.json", "extra", *([] if swept else [stale.name])]
+        [".demo.kb.json.lock", "demo.kb.json", "extra", *([] if removed else [stale.name])]
     )
     renamed = SAVE_STEPS.index(step) > SAVE_STEPS.index("replace")
     assert kb_path.read_bytes() == (after if renamed else before)
@@ -588,6 +585,101 @@ def test_train_survives_a_fault_at_each_save_step(capsys, monkeypatch, tmp_path,
         ".demo.kb.json.lock", "demo.kb.json", "extra"
     ]
     assert kb_path.read_bytes() == after
+
+
+# Run the command line given after ``point`` and ``marker``, stopping it when
+# the save reaches ``point``: there it creates ``marker`` and waits to be killed.
+KILL_SCRIPT = """\
+import os, stat, sys, time
+from polisent import cli, kb
+
+point, marker, *argv = sys.argv[1:]
+owner, name, hit = {
+    "dumps": (kb, "dumps", lambda *args: True),
+    "replace": (os, "replace", lambda *args: True),
+    "directory fsync": (os, "fsync", lambda fd: stat.S_ISDIR(os.fstat(fd).st_mode)),
+}[point]
+original = getattr(owner, name)
+
+def stop(*args):
+    if hit(*args):
+        open(marker, "x").close()
+        time.sleep(60)
+    return original(*args)
+
+setattr(owner, name, stop)
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("point", ["dumps", "replace", "directory fsync"])
+def test_train_killed_mid_save_leaves_a_whole_kb(capsys, tmp_path, tmp_path_factory,
+                                                 trained_kb_path, new_article_corpus, point):
+    # SIGKILL runs no cleanup.  The KB still holds the old bytes before the
+    # rename and the new ones after it, the lock dies with the process, and
+    # the next train saves, removing a temp file the killed one left.
+    kb_path = Path(trained_kb_path)
+    before = kb_path.read_bytes()
+    after, _ = train_bytes(capsys, kb_path, new_article_corpus)
+    train = ("train", "--corpus", new_article_corpus, "--lexicon", LEXICON, "--kb", kb_path)
+    marker = tmp_path_factory.mktemp("kill") / "stopped"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", KILL_SCRIPT, point, str(marker),
+                             *map(str, train)], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 30
+        while not marker.exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == -signal.SIGKILL
+    tmp = kb_path.with_name(".demo.kb.json.tmp")
+    renamed = point == "directory fsync"
+    assert kb_path.read_bytes() == (after if renamed else before)
+    assert tmp.exists() == (point == "replace")
+    if tmp.exists():
+        assert tmp.read_bytes() == after  # written and synced, not yet renamed
+    code, _, _ = run(capsys, *train)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".demo.kb.json.lock", "demo.kb.json", "extra"
+    ]
+    assert kb_path.read_bytes() == after
+
+
+@pytest.mark.parametrize("command", ["analyze", "train"])
+def test_unreadable_kb_is_not_a_missing_one(capsys, monkeypatch, trained_kb_path, command):
+    # A KB whose stat fails with EACCES read as absent: analyze scored
+    # against an empty KB and train saved a new one over it, both exiting 0.
+    before = Path(trained_kb_path).read_bytes()
+    argv = {"analyze": ("analyze", CORPUS + "/1.txt"), "train": ("train", "--corpus", CORPUS)}
+    deny_reading(monkeypatch, trained_kb_path)
+    code, out, err = run(capsys, *argv[command], "--lexicon", LEXICON, "--kb", trained_kb_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: {trained_kb_path!r}\n"
+    monkeypatch.undo()
+    assert Path(trained_kb_path).read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [("report",), ("kb", "export")], ids=["report", "kb-export"])
+def test_closed_stdout_exits_1_quietly(trained_kb_path, argv):
+    # `polisent report --kb K | head -1` printed "error: [Errno 32] Broken
+    # pipe" and exited 2: a reader that stops early is not an input error.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = "import sys; from polisent.cli import main; sys.exit(main())"
+    try:
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--kb", trained_kb_path],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
