@@ -15,6 +15,7 @@ Results go to stdout, diagnostics to stderr.  Exit status 0 on success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -192,18 +193,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # polisent's objects hold no reference cycles, so reference counting frees
+    # them all and the collector's passes over a loaded KB would find nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # the reader is gone, as with `| head`: stop quietly
         # As the Python docs' note on SIGPIPE advises: the flush at exit goes nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (PolisentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

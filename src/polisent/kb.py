@@ -24,8 +24,11 @@ standard library's encoder uses too, so the bytes are the same.
 ``loads`` enforces the full schema and every cell/history invariant in
 one pass over the parsed document, section by section in the order
 above and field by field within each element, so the first fault found
-is the first in that order.  A string must be one that UTF-8 can encode,
-so an escaped lone surrogate such as ``"\\ud800"`` is a fault.
+is the first in that order.  A cell, pair or score must be an object
+with as many keys as its schema; then one ``itemgetter`` call fetches
+all its fields, and a ``KeyError`` is the only way the keys can differ.
+A string must be one that UTF-8 can encode, so an escaped lone surrogate
+such as ``"\\ud800"`` is a fault.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import stat
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -65,6 +69,9 @@ _TOP_KEYS = frozenset({"version", "lexicon_fingerprint", "processed", "cells", "
 _CELL_KEYS = frozenset({"who", "whom", "p", "s"})
 _PAIR_KEYS = frozenset({"outlet", "whom", "scores"})
 _SCORE_KEYS = frozenset({"article_id", "num", "den"})
+_cell_fields = itemgetter("who", "whom", "p", "s")
+_pair_fields = itemgetter("outlet", "whom", "scores")
+_score_fields = itemgetter("article_id", "num", "den")
 # Builds a Cell without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
@@ -272,18 +279,18 @@ def loads(text: str) -> KnowledgeBase:
     cumulative = PolarityLedger()
     cells = cumulative._cells
     for i, raw in enumerate(raw_cells):
-        if type(raw) is not dict or raw.keys() != _CELL_KEYS:
+        if type(raw) is not dict or len(raw) != 4:
             raise _fields_fault(raw, f"cells[{i}]", _CELL_KEYS)
-        who = raw["who"]
+        try:
+            who, whom, p, s = _cell_fields(raw)
+        except KeyError:  # as many keys as expected, so one of them is unknown
+            raise _fields_fault(raw, f"cells[{i}]", _CELL_KEYS) from None
         if type(who) is not str or not who or strict and _unencodable(who):
             raise _str_fault(who, f"cells[{i}].who")
-        whom = raw["whom"]
         if type(whom) is not str or not whom or strict and _unencodable(whom):
             raise _str_fault(whom, f"cells[{i}].whom")
-        p = raw["p"]
         if type(p) is not int:
             raise _int_fault(p, f"cells[{i}].p")
-        s = raw["s"]
         if type(s) is not int:
             raise _int_fault(s, f"cells[{i}].s")
         if s < 1:
@@ -306,12 +313,14 @@ def loads(text: str) -> KnowledgeBase:
     # Every pair, also one whose empty score list set_entries drops.
     seen_pairs: set[tuple[str, str]] = set()
     for i, raw in enumerate(raw_history):
-        if type(raw) is not dict or raw.keys() != _PAIR_KEYS:
+        if type(raw) is not dict or len(raw) != 3:
             raise _fields_fault(raw, f"history[{i}]", _PAIR_KEYS)
-        outlet = raw["outlet"]
+        try:
+            outlet, whom, raw_scores = _pair_fields(raw)
+        except KeyError:
+            raise _fields_fault(raw, f"history[{i}]", _PAIR_KEYS) from None
         if type(outlet) is not str or not outlet or strict and _unencodable(outlet):
             raise _str_fault(outlet, f"history[{i}].outlet")
-        whom = raw["whom"]
         if type(whom) is not str or not whom or strict and _unencodable(whom):
             raise _str_fault(whom, f"history[{i}].whom")
         if (outlet, whom) in seen_pairs:
@@ -319,15 +328,17 @@ def loads(text: str) -> KnowledgeBase:
                 f"history[{i}]", f"duplicate history key ({outlet!r}, {whom!r})"
             )
         seen_pairs.add((outlet, whom))
-        raw_scores = raw["scores"]
         if type(raw_scores) is not list:
             raise CorruptDocument(f"history[{i}].scores", "expected an array")
         entries: list[tuple[str, Fraction]] = []
         seen_articles: set[str] = set()
         for j, raw_score in enumerate(raw_scores):
-            if type(raw_score) is not dict or raw_score.keys() != _SCORE_KEYS:
+            if type(raw_score) is not dict or len(raw_score) != 3:
                 raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS)
-            article_id = raw_score["article_id"]
+            try:
+                article_id, num, den = _score_fields(raw_score)
+            except KeyError:
+                raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS) from None
             if (
                 type(article_id) is not str or not article_id
                 or strict and _unencodable(article_id)
@@ -344,10 +355,8 @@ def loads(text: str) -> KnowledgeBase:
                     f"article {article_id!r} scored twice for the same pair",
                 )
             seen_articles.add(article_id)
-            num = raw_score["num"]
             if type(num) is not int:
                 raise _int_fault(num, f"history[{i}].scores[{j}].num")
-            den = raw_score["den"]
             if type(den) is not int:
                 raise _int_fault(den, f"history[{i}].scores[{j}].den")
             score = scores.get((num, den))
@@ -373,12 +382,7 @@ def loads(text: str) -> KnowledgeBase:
             "lexicon_fingerprint", "missing fingerprint on a non-empty knowledge base"
         )
 
-    return KnowledgeBase(
-        cumulative=cumulative,
-        history=history,
-        processed=processed,
-        lexicon_fingerprint=fingerprint,
-    )
+    return KnowledgeBase(cumulative, history, processed, fingerprint)
 
 
 def load(path: str | Path, missing_ok: bool = False) -> KnowledgeBase:

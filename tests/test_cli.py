@@ -1,5 +1,6 @@
 import errno
 import fcntl
+import gc
 import json
 import os
 import re
@@ -15,7 +16,11 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, REPO
-from polisent.cli import _fmt_score
+from polisent import kb as kbmod
+from polisent.cli import _fmt_score, main
+from polisent.kb import KnowledgeBase
+from polisent.lexicon import load_lexicon_file
+from polisent.textpipe import load_corpus
 from support import deny_listing, deny_reading, run_cli as run
 
 LEXICON = str(FIXTURES / "lexicon.txt")
@@ -680,6 +685,77 @@ def test_closed_stdout_exits_1_quietly(trained_kb_path, argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def run_with_closed_stdout(monkeypatch, *argv):
+    """Run the command line in this process, its stdout a pipe whose reader is gone."""
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        return main([str(arg) for arg in argv])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc/self/fd")
+def test_closed_stdout_leaves_no_fd_open(monkeypatch, trained_kb_path):
+    # main pointed stdout at os.devnull through a new fd that it never
+    # closed: each in-process call on a closed stdout left one more open.
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        assert run_with_closed_stdout(monkeypatch, "report", "--kb", trained_kb_path) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["ok", "polisent-error", "os-error", "closed-stdout", "usage"])
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, tmp_path,
+                                                   trained_kb_path, outcome, enabled):
+    corrupt = tmp_path / "corrupt.kb.json"
+    corrupt.write_text("{}", encoding="utf-8")
+    argv, expected = {
+        "ok": (("report", "--kb", trained_kb_path), 0),
+        "polisent-error": (("report", "--kb", corrupt), 2),
+        "os-error": (("report", "--kb", tmp_path / "missing.kb.json"), 2),
+        "closed-stdout": (("report", "--kb", trained_kb_path), 1),
+        "usage": (("report", "--format", "xml"), 2),
+    }[outcome]
+    during = []
+    load = kbmod.load
+    monkeypatch.setattr(kbmod, "load", lambda *args: during.append(gc.isenabled()) or load(*args))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "closed-stdout":
+            code = run_with_closed_stdout(monkeypatch, *argv)
+        else:
+            code, _, _ = run(capsys, *argv)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert code == expected
+    assert during == ([] if outcome == "usage" else [False])
+
+
+def test_polisent_objects_hold_no_reference_cycles(trained_kb_path):
+    # cli.main runs each command with the collector paused, which is safe
+    # while reference counting alone frees everything polisent builds.
+    text = Path(trained_kb_path).read_text(encoding="utf-8")
+
+    def work():
+        lexicon = load_lexicon_file(LEXICON)
+        assert kbmod.loads(text).processed
+        kb = KnowledgeBase()
+        for article in load_corpus(CORPUS):
+            kbmod.ingest(kb, article, lexicon)
+        assert kbmod.dumps(kb) == text
+
+    work()  # imports and caches filled on first use are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"

@@ -2,7 +2,7 @@
 
 Random valid knowledge bases must load to the same ``KnowledgeBase`` and
 dump to the same bytes on both sides.  Mutations of valid documents
-(a field dropped, added or retyped at every level, a bound exceeded, a
+(a field dropped, added, renamed or retyped at every level, a bound exceeded, a
 key or id duplicated, a score not in lowest terms, an empty score list,
 a string holding a surrogate) must be accepted or rejected alike, with the same exception class and
 message, and that class must be a ``PolisentError``.  Faults made on the
@@ -121,6 +121,15 @@ def add_field(draw, parts):
     obj[draw(st.sampled_from(ANY_FIELD))] = draw(st.sampled_from(VALUES))
 
 
+def rename_field(draw, parts):
+    """One key swapped for an unknown one: as many keys as the schema, not the same ones."""
+    _, obj = parts.draw_object(draw)
+    unknown = [name for name in ANY_FIELD if name not in obj]
+    if obj and unknown:
+        old = draw(st.sampled_from(sorted(obj)))
+        obj[draw(st.sampled_from(unknown))] = obj.pop(old)
+
+
 def retype_field(draw, parts):
     kind, obj = parts.draw_object(draw)
     obj[draw(st.sampled_from(FIELDS[kind]))] = draw(st.sampled_from(VALUES))
@@ -209,9 +218,9 @@ def surrogate_string(draw, parts):
         obj[draw(st.sampled_from(STRINGS[kind]))] = value
 
 
-MUTATIONS = (retype_two_fields, retype_field, drop_field, add_field, retype_element, exceed_bound,
-             duplicate, not_lowest_terms, empty_scores, ghost_article, null_fingerprint,
-             surrogate_string)
+MUTATIONS = (retype_two_fields, retype_field, drop_field, add_field, rename_field, retype_element,
+             exceed_bound, duplicate, not_lowest_terms, empty_scores, ghost_article,
+             null_fingerprint, surrogate_string)
 
 
 @st.composite
@@ -271,6 +280,9 @@ def pair(*scores):
 @example(text=document(history=[pair({"article_id": "a", "num": 2, "den": 4})]))
 @example(text=document(history=[pair({"article_id": "a", "num": None, "den": "1"})]))
 @example(text=document(cells=[{"who": "k", "whom": "x", "p": 1, "s": 0}]))
+@example(text=document(cells=[{"who": "k", "whom": "x", "p": 1, "t": 1}]))
+@example(text=document(history=[{"outlet": "k", "who": "x", "scores": []}]))
+@example(text=document(history=[pair({"article_id": "a", "num": 1, "denominator": 1})]))
 @example(text=document(processed=["a", "\ud800"]))
 @example(text=document(cells=[{"who": "k", "whom": "\ud83d\ude00", "p": 1, "s": 1}]))
 @example(text=document(cells=[{"who": "k", "whom": "\ud83d\ude00", "p": 1, "s": 1}])
