@@ -58,18 +58,18 @@ def _id_arg(text: str) -> str:
     return _nonempty(text).lower()
 
 
-def cmd_lexicon_validate(args: argparse.Namespace) -> int:
+def cmd_lexicon_validate(args: argparse.Namespace) -> None:
     lexicon = load_lexicon_file(args.path)
     print(f"outlet: {lexicon.outlet_id}")
     for category, count in lexicon.category_counts().items():
         print(f"{category}: {count}")
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     lexicon = load_lexicon_file(args.lexicon)
     lines = []  # printed once the KB is saved, so a failed save prints no result
     with kbmod.update(args.kb) as kb:
+        kbmod.check_lexicon(kb, lexicon)
         for article in load_corpus(args.corpus):
             try:
                 scored = kbmod.ingest(kb, article, lexicon)
@@ -85,10 +85,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             tendency = outlet_tendency(kb.history, whom, outlet=outlet)
             lines.append(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
     sys.stdout.write("".join(f"{line}\n" for line in lines))
-    return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     lexicon = load_lexicon_file(args.lexicon)
     kb = kbmod.load(args.kb, missing_ok=True)
     kbmod.check_lexicon(kb, lexicon)
@@ -98,10 +97,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(trace(scored.records, article.outlet_id), end="")
     for whom, score in scored.scores.items():
         print(f"{whom} {_fmt_score(score)} ({classify_score(score)})")
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     kb = kbmod.load(args.kb)
     rows = []
     by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
@@ -128,10 +126,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{row['whom']}\t{row['articles']}\t{row['tendency']}"
                 f"\t{row['decimal']}\t{row['classification']}"
             )
-    return 0
 
 
-def cmd_kb_export(args: argparse.Namespace) -> int:
+def cmd_kb_export(args: argparse.Namespace) -> None:
     kb = kbmod.load(args.kb)
     outlets = {outlet for (outlet, _), _ in kb.history.items()}
     outlet = args.outlet or (outlets.pop() if len(outlets) == 1 else None)
@@ -143,7 +140,6 @@ def cmd_kb_export(args: argparse.Namespace) -> int:
             print()
         print(f"# matrix {name} ({'outlet view' if view else 'direct'})")
         print(format_matrix(kb.cumulative, outlet or "0", value, view), end="")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,16 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    # polisent's objects hold no reference cycles, so reference counting frees
-    # them all and the collector's passes over a loaded KB would find nothing.
+    # Reference counting frees all that a command builds: polisent's objects hold
+    # no cycles, and argparse's, which do, are built once, in _PARSER.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        args = _PARSER.parse_args(argv)
+        args.func(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:  # the reader is gone, as with `| head`: stop quietly
         # As the Python docs' note on SIGPIPE advises: the flush at exit goes nowhere.
         devnull = os.open(os.devnull, os.O_WRONLY)

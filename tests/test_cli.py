@@ -110,16 +110,22 @@ def test_train_rerun_is_idempotent(capsys, trained_kb_path):
     assert "tendency andi -0.25 (negative)" in out
 
 
-def test_train_mismatched_lexicon(capsys, tmp_path, trained_kb_path):
+@pytest.mark.parametrize("corpus", ["extra", "empty", "missing"])
+def test_train_mismatched_lexicon(capsys, tmp_path, trained_kb_path, corpus):
+    # The lexicon is checked before the corpus is read: with only kb.ingest's
+    # check, an empty corpus exited 0 and rewrote the KB, a missing one was the error.
     other = tmp_path / "other.txt"
     other.write_text("[outlet] k\n[opinions]\nbaik +1\n", encoding="utf-8")
-    extra = tmp_path / "extra"
-    extra.mkdir()
-    (extra / "3.txt").write_text("@article 3 @outlet k\nIsi baik.", encoding="utf-8")
-    code, _, err = run(capsys, "train", "--corpus", str(extra), "--lexicon", str(other),
-                       "--kb", trained_kb_path)
-    assert code == 2
+    (tmp_path / "extra").mkdir()
+    (tmp_path / "extra" / "3.txt").write_text("@article 3 @outlet k\nIsi baik.", encoding="utf-8")
+    (tmp_path / "empty").mkdir()
+    kb = Path(trained_kb_path)
+    before = (kb.read_bytes(), kb.stat().st_ino, sorted(os.listdir(tmp_path)))
+    code, out, err = run(capsys, "train", "--corpus", tmp_path / corpus, "--lexicon", other,
+                         "--kb", kb)
+    assert (code, out) == (2, "")
     assert "different lexicon" in err
+    assert (kb.read_bytes(), kb.stat().st_ino, sorted(os.listdir(tmp_path))) == before
 
 
 def test_analyze_mismatched_lexicon(capsys, tmp_path, trained_kb_path):
@@ -756,6 +762,41 @@ def test_polisent_objects_hold_no_reference_cycles(trained_kb_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_main_leaves_no_cyclic_garbage_and_no_parser_state(capsys, tmp_path):
+    # main once rebuilt its argparse tree, whose objects hold reference
+    # cycles, on every call; it now reuses one, which must forget each call.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    (corpus / "3.txt").write_text("@article 3 @outlet m\nAndi berkata KPK baik.\n",
+                                  encoding="utf-8")
+    kb = tmp_path / "kb.json"
+    calls = [
+        ("train", "--corpus", corpus, "--lexicon", LEXICON, "--kb", kb),
+        ("analyze", FIXTURES / "corpus" / "1.txt", "--lexicon", LEXICON, "--kb", kb),
+        ("report", "--kb", kb, "--entity", "andi"),
+        ("report", "--kb", kb),
+        ("kb", "export", "--kb", kb, "--outlet", "k"),
+        ("kb", "export", "--kb", kb),
+        ("lexicon", "validate", LEXICON),
+    ]
+    outs = []
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert gc.collect() == 0, argv
+            outs.append(out)
+    finally:
+        if enabled:
+            gc.enable()
+    whoms = [[line.split("\t")[0] for line in out.splitlines()[1:]] for out in outs[2:4]]
+    assert whoms == [["andi"], ["andi", "deddy", "kpk", "kpk"]]
+    assert [out.count("# matrix") for out in outs[4:6]] == [4, 2]
 
 
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
