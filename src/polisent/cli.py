@@ -33,17 +33,45 @@ from .lexicon import load_lexicon_file
 from .textpipe import load_corpus, read_article
 
 
+def _ratio(num: int, den: int) -> str:
+    """``num/den`` as ``str(Fraction(num, den))`` writes it: -1/4 -> "-1/4", 2/1 -> "2"."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _four_places(num: int, den: int) -> str:
+    """``num/den`` to four places, -1/4 -> "-0.2500", from the float that ``float(score)`` gives."""
+    return f"{num / den:.4f}"
+
+
+def _compact(decimal: str) -> str:
+    """A four-place decimal as score lines print it: "-0.2500" -> "-0.25", "-1.0000" -> "-1"."""
+    text = decimal.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
+
+
+def _classify(num: int) -> str:
+    """What ``classify_score`` says of a score whose numerator is ``num``."""
+    return "neutral" if not num else "positive" if num > 0 else "negative"
+
+
+def _score_text(score) -> str:
+    """The end of a train score or tendency line: -1/4 -> "-0.25 (negative)".
+
+    Like ``report``, it reads the score's numerator and denominator once:
+    on Python 3.11 each ``Fraction`` property read is a Python-level call.
+    """
+    num, den = score.as_integer_ratio()
+    return f"{_compact(_four_places(num, den))} ({_classify(num)})"
+
+
 def _decimal(score) -> str:
-    """A score to four places, -1/4 -> "-0.2500", from the float that ``float(score)`` gives."""
-    return f"{score.numerator / score.denominator:.4f}"
+    """A score to four places, -1/4 -> "-0.2500"."""
+    return _four_places(score.numerator, score.denominator)
 
 
 def _fmt_score(score) -> str:
-    """Compact decimal for score lines: -1/4 -> "-0.25", -1 -> "-1"."""
-    text = _decimal(score).rstrip("0").rstrip(".")
-    if text == "-0":
-        return "0"
-    return text
+    """Compact decimal for analyze's score lines: -1/4 -> "-0.25", -1 -> "-1"."""
+    return _compact(_decimal(score))
 
 
 def _nonempty(text: str) -> str:
@@ -79,11 +107,11 @@ def cmd_train(args: argparse.Namespace) -> None:
                     file=sys.stderr,
                 )
                 continue
-            lines += [f"{article.article_id} {whom} {_fmt_score(score)} ({classify_score(score)})"
+            lines += [f"{article.article_id} {whom} {_score_text(score)}"
                       for whom, score in scored.scores.items()]
         for (outlet, whom), _ in kb.history.items():
             tendency = outlet_tendency(kb.history, whom, outlet=outlet)
-            lines.append(f"tendency {whom} {_fmt_score(tendency)} ({classify_score(tendency)})")
+            lines.append(f"tendency {whom} {_score_text(tendency)}")
     sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
@@ -99,33 +127,26 @@ def cmd_analyze(args: argparse.Namespace) -> None:
         print(f"{whom} {_fmt_score(score)} ({classify_score(score)})")
 
 
+_REPORT_FIELDS = ("outlet", "whom", "articles", "tendency", "decimal", "classification")
+
+
 def cmd_report(args: argparse.Namespace) -> None:
     kb = kbmod.load(args.kb)
-    rows = []
+    rows = []  # one tuple of _REPORT_FIELDS per pair, by target and then outlet
     by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
     for (outlet, whom), entries in by_target:
         if args.entity and whom != args.entity:
             continue
-        tendency = outlet_tendency(kb.history, whom, outlet=outlet)
-        rows.append(
-            {
-                "outlet": outlet,
-                "whom": whom,
-                "articles": len(entries),
-                "tendency": str(tendency),
-                "decimal": _decimal(tendency),
-                "classification": classify_score(tendency),
-            }
-        )
+        num, den = outlet_tendency(kb.history, whom, outlet=outlet).as_integer_ratio()
+        rows.append((outlet, whom, len(entries), _ratio(num, den), _four_places(num, den),
+                     _classify(num)))
     if args.format == "json":
-        print(json.dumps({"rows": rows}, sort_keys=True, indent=2))
+        document = {"rows": [dict(zip(_REPORT_FIELDS, row)) for row in rows]}
+        print(json.dumps(document, sort_keys=True, indent=2))
     else:
-        print("whom\tarticles\ttendency\tdecimal\tclassification")
-        for row in rows:
-            print(
-                f"{row['whom']}\t{row['articles']}\t{row['tendency']}"
-                f"\t{row['decimal']}\t{row['classification']}"
-            )
+        sys.stdout.write("whom\tarticles\ttendency\tdecimal\tclassification\n" + "".join(
+            f"{whom}\t{articles}\t{tendency}\t{decimal}\t{classification}\n"
+            for _, whom, articles, tendency, decimal, classification in rows))
 
 
 def cmd_kb_export(args: argparse.Namespace) -> None:

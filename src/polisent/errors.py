@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 from typing import Callable
 
@@ -64,14 +66,31 @@ class CorruptDocument(PolisentError):
         super().__init__(f"{path}: {message}")
 
 
-def read_utf8(path: str | Path, error: Callable[[str], PolisentError]) -> str:
+def _open_nonblocking(path: str | Path, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
+def read_utf8(
+    path: str | Path, error: Callable[[str], PolisentError], pipes: bool = False
+) -> str:
     """The text of a UTF-8 file; ``error`` builds what a file that is not UTF-8 raises.
 
     One unbuffered binary read and one decode.  ``\\r\\n`` and a lone
     ``\\r`` read as ``\\n``, as in text mode's universal newlines, and a
     byte-order mark is kept as ``\\ufeff``.
+
+    The file is opened with ``O_NONBLOCK``, so that a FIFO without a
+    writer cannot block the open, and must be a regular file: anything
+    else, such as a FIFO or a device like ``/dev/zero``, raises ``error``
+    before a byte is read.  With ``pipes`` a pipe or FIFO is read too,
+    to its end; one without a writer reads as empty.
     """
-    with open(path, "rb", buffering=0) as handle:
+    with open(path, "rb", buffering=0, opener=_open_nonblocking) as handle:
+        mode = os.fstat(handle.fileno()).st_mode
+        if not stat.S_ISREG(mode):
+            if not (pipes and stat.S_ISFIFO(mode)):
+                raise error(f"{path}: not a regular file")
+            os.set_blocking(handle.fileno(), True)
         data = handle.read()
     try:
         text = data.decode("utf-8")

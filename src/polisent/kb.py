@@ -40,6 +40,7 @@ import stat
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -71,7 +72,7 @@ _PAIR_KEYS = frozenset({"outlet", "whom", "scores"})
 _SCORE_KEYS = frozenset({"article_id", "num", "den"})
 _cell_fields = itemgetter("who", "whom", "p", "s")
 _pair_fields = itemgetter("outlet", "whom", "scores")
-_score_fields = itemgetter("article_id", "num", "den")
+_score_fields = itemgetter("article_id", "num", "den")  # a history entry, as stored
 # Builds a Cell without the Python-level ``__new__`` of a NamedTuple.
 _new = tuple.__new__
 
@@ -172,8 +173,8 @@ def dumps(kb: KnowledgeBase) -> str:
     for (outlet, whom), entries in kb.history.items():
         scores = [
             f'        {{\n          "article_id": {string(article_id)},\n'
-            f'          "den": {score.denominator},\n          "num": {score.numerator}\n        }}'
-            for article_id, score in entries
+            f'          "den": {den},\n          "num": {num}\n        }}'
+            for article_id, num, den in entries
         ]
         pairs.append(
             f'    {{\n      "outlet": {string(outlet)},\n      "scores": {_array(scores, "      ")},\n'
@@ -308,8 +309,8 @@ def loads(text: str) -> KnowledgeBase:
     # An article score is p/s over one article's few statements toward a
     # target, so the same values recur across articles: on the benchmark
     # KBs under 8% of the scores are distinct.  Each distinct (num, den)
-    # is checked and built once.
-    scores: dict[tuple[int, int], Fraction] = {}
+    # is checked once.
+    checked: set[tuple[int, int]] = set()
     # Every pair, also one whose empty score list set_entries drops.
     seen_pairs: set[tuple[str, str]] = set()
     for i, raw in enumerate(raw_history):
@@ -330,13 +331,13 @@ def loads(text: str) -> KnowledgeBase:
         seen_pairs.add((outlet, whom))
         if type(raw_scores) is not list:
             raise CorruptDocument(f"history[{i}].scores", "expected an array")
-        entries: list[tuple[str, Fraction]] = []
+        entries: list[tuple[str, int, int]] = []
         seen_articles: set[str] = set()
         for j, raw_score in enumerate(raw_scores):
             if type(raw_score) is not dict or len(raw_score) != 3:
                 raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS)
             try:
-                article_id, num, den = _score_fields(raw_score)
+                entry = article_id, num, den = _score_fields(raw_score)
             except KeyError:
                 raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS) from None
             if (
@@ -359,8 +360,7 @@ def loads(text: str) -> KnowledgeBase:
                 raise _int_fault(num, f"history[{i}].scores[{j}].num")
             if type(den) is not int:
                 raise _int_fault(den, f"history[{i}].scores[{j}].den")
-            score = scores.get((num, den))
-            if score is None:  # the checks below depend on (num, den) alone
+            if (num, den) not in checked:  # the checks below depend on (num, den) alone
                 if den < 1:
                     raise CorruptDocument(
                         f"history[{i}].scores[{j}].den", "denominator must be at least 1"
@@ -369,12 +369,12 @@ def loads(text: str) -> KnowledgeBase:
                     raise CorruptDocument(
                         f"history[{i}].scores[{j}]", f"score {num}/{den} outside [-1, 1]"
                     )
-                score = scores[(num, den)] = Fraction(num, den)
-                if score.denominator != den:
+                if gcd(num, den) != 1:
                     raise CorruptDocument(
                         f"history[{i}].scores[{j}]", f"{num}/{den} is not in lowest terms"
                     )
-            entries.append((article_id, score))
+                checked.add((num, den))
+            entries.append(entry)
         history.set_entries(outlet, whom, entries)
 
     if fingerprint is None and (processed or raw_cells or raw_history):
@@ -413,6 +413,8 @@ def update(path: str | Path) -> Iterator[KnowledgeBase]:
     import fcntl  # POSIX only, so imported here: the other commands run anywhere
     if os.path.isdir(path):  # the load would fail anyway; fail before leaving a lock file
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or a device: likewise
+        raise CorruptDocument("document", f"{path}: not a regular file")
     target = os.path.realpath(path) if os.path.islink(path) else path
     lock = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.lock")
     try:

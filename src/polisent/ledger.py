@@ -142,24 +142,28 @@ def outlet_view(cumulative_ledger: PolarityLedger, outlet: str, whom: str) -> Ce
 class ArticleScoreHistory:
     """Ordered per-(outlet, whom) article scores feeding the outlet tendency.
 
-    A read by target alone (``outlet=None``) scans every pair.
+    Each entry is ``(article_id, num, den)``: the score as two integers
+    in lowest terms, ``den >= 1``.  ``record`` takes and ``scores()`` and
+    ``outlet_tendency`` give ``Fraction`` values.  A read by target alone
+    (``outlet=None``) scans every pair.
     """
 
     def __init__(self):
-        self._scores: dict[tuple[str, str], list[tuple[str, Fraction]]] = {}
+        self._scores: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
 
     def record(self, outlet: str, whom: str, article_id: str, score: Fraction) -> None:
         if type(score) is not Fraction:  # ingest passes the one article_score built
             score = Fraction(score)
-        if abs(score.numerator) > score.denominator:
+        num, den = score.as_integer_ratio()
+        if abs(num) > den:
             raise ValueError(f"article score {score} outside [-1, 1]")
         entries = self._scores.get((outlet, whom))
         if entries is None:
             entries = self._scores[(outlet, whom)] = []
-        entries.append((article_id, score))
+        entries.append((article_id, num, den))
 
-    def set_entries(self, outlet: str, whom: str, entries: list[tuple[str, Fraction]]) -> None:
-        """Store a pair's checked ``(article_id, score)`` list, in recording order.
+    def set_entries(self, outlet: str, whom: str, entries: list[tuple[str, int, int]]) -> None:
+        """Store a pair's checked ``(article_id, num, den)`` list, in recording order.
 
         Takes the list over without copying or re-checking it; an empty
         list stores nothing.
@@ -169,15 +173,15 @@ class ArticleScoreHistory:
 
     def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
         """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
-        return [score for _, score in self._entries(whom, outlet)]
+        return [Fraction(num, den) for _, num, den in self._entries(whom, outlet)]
 
-    def _entries(self, whom: str, outlet: str | None) -> list[tuple[str, Fraction]]:
+    def _entries(self, whom: str, outlet: str | None) -> list[tuple[str, int, int]]:
         """The stored entries toward ``whom``; with an outlet, its pair's own list."""
         if outlet is not None:
             return self._scores.get((outlet, whom), [])
         return [entry for (_, w), entries in self.items() if w == whom for entry in entries]
 
-    def items(self) -> Iterator[tuple[tuple[str, str], list[tuple[str, Fraction]]]]:
+    def items(self) -> Iterator[tuple[tuple[str, str], list[tuple[str, int, int]]]]:
         """Pairs in key order with the history's own entry lists; do not mutate them."""
         scores = self._scores
         for key in sorted(scores):
@@ -202,18 +206,19 @@ def outlet_tendency(
 
     Reads only the scores of the (outlet, whom) pair asked for; with
     ``outlet=None`` it scans every pair for those toward ``whom``.  The
-    numerators are summed per denominator and then over the lcm of the
-    denominators, all as integers, and the mean is one ``Fraction``.
+    scores are summed as integers over the lcm of the denominators seen
+    so far, and the mean is one ``Fraction``.
     """
     entries = history._entries(whom, outlet)
     if not entries:
         return NEUTRAL
-    sums: dict[int, int] = {}  # numerators summed per denominator
-    for _, score in entries:
-        d = score.denominator
-        sums[d] = sums.get(d, 0) + score.numerator
-    den = lcm(*sums)
-    total = sum(num * (den // d) for d, num in sums.items())
+    total, den = 0, 1  # the sum so far is total/den
+    for _, num, d in entries:
+        if den % d:
+            wider = lcm(den, d)
+            total *= wider // den
+            den = wider
+        total += num * (den // d)
     return Fraction(total, den * len(entries))
 
 

@@ -282,4 +282,5 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:
-    return load_lexicon(read_utf8(path, LexiconError).splitlines())
+    """The lexicon in the file at ``path``, which may be a pipe, as ``<(cat lexicon.txt)`` is."""
+    return load_lexicon(read_utf8(path, LexiconError, pipes=True).splitlines())

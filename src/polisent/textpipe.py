@@ -170,7 +170,7 @@ def load_corpus(directory: str | Path) -> list[RawArticle]:
 
     Read, in name order, is every entry whose name ends in ``.txt``
     (case-sensitively; hidden names and a bare ``.txt`` too), as
-    ``Path.glob("*.txt")`` lists them; one that is not a file fails its read.
+    ``Path.glob("*.txt")`` lists them; one that is not a regular file fails its read.
     """
     directory = str(Path(directory))
     if not os.path.isdir(directory):

@@ -38,10 +38,10 @@ def dumps(kb: KnowledgeBase) -> str:
                 "scores": [
                     {
                         "article_id": article_id,
-                        "num": score.numerator,
-                        "den": score.denominator,
+                        "num": num,
+                        "den": den,
                     }
-                    for article_id, score in entries
+                    for article_id, num, den in entries
                 ],
             }
             for (outlet, whom), entries in kb.history.items()

@@ -16,7 +16,7 @@ def scores(history: ArticleScoreHistory, whom: str, outlet: str | None = None) -
     collected: list[Fraction] = []
     for (o, h), entries in sorted(history.items()):
         if h == whom and (outlet is None or o == outlet):
-            collected.extend(score for _, score in entries)
+            collected.extend(Fraction(num, den) for _, num, den in entries)
     return collected
 
 

@@ -100,7 +100,8 @@ def deny_reading(monkeypatch, path) -> None:
 
 def history_entries(history, outlet: str, whom: str) -> list[tuple[str, Fraction]]:
     """The ``(article_id, score)`` list of one history pair; empty if it has none."""
-    return dict(history.items()).get((outlet, whom), [])
+    entries = dict(history.items()).get((outlet, whom), [])
+    return [(article_id, Fraction(num, den)) for article_id, num, den in entries]
 
 
 def random_records(rng: random.Random, n: int, article_id: str = "a") -> list[StatementRecord]:

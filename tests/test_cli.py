@@ -908,3 +908,80 @@ def test_integer_literal_too_long(capsys, trained_kb_path, command, field):
     assert (code, out) == (2, "")
     assert err.startswith("error: document: ")
     assert Path(trained_kb_path).read_text(encoding="utf-8") == bad
+
+
+def run_subprocess(*argv, timeout=10, **kwargs):
+    """Run the command line in a new process; a command that hangs fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = "import sys; from polisent.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout, **kwargs)
+
+
+def test_train_with_a_fifo_in_the_corpus_exits_2(tmp_path, trained_kb_path):
+    # A FIFO named *.txt in the corpus blocked train's open while it held the
+    # KB's lock, so every later train of that KB failed until it was killed.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    os.mkfifo(corpus / "x.txt")
+    before = Path(trained_kb_path).read_bytes()
+    proc = run_subprocess("train", "--corpus", corpus, "--lexicon", LEXICON,
+                          "--kb", trained_kb_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {corpus / 'x.txt'}: not a regular file\n"
+    assert Path(trained_kb_path).read_bytes() == before
+    (corpus / "x.txt").unlink()
+    assert run_subprocess("train", "--corpus", corpus, "--lexicon", LEXICON,
+                          "--kb", trained_kb_path).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("report",), ("report", "--format", "json"), ("kb", "export"),
+    ("analyze", CORPUS + "/1.txt", "--lexicon", LEXICON),
+    ("train", "--corpus", CORPUS, "--lexicon", LEXICON),
+], ids=["report", "report-json", "kb-export", "analyze", "train"])
+def test_fifo_kb_exits_2(tmp_path, argv):
+    # Opening a FIFO without a writer blocked every command that reads the KB.
+    fifo = tmp_path / "kb.json"
+    os.mkfifo(fifo)
+    proc = run_subprocess(*argv, "--kb", fifo)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: document: {fifo}: not a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.json"]  # no lock file
+
+
+def test_fifo_article_exits_2(tmp_path, trained_kb_path):
+    fifo = tmp_path / "x.txt"
+    os.mkfifo(fifo)
+    proc = run_subprocess("analyze", fifo, "--lexicon", LEXICON, "--kb", trained_kb_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {fifo}: not a regular file\n"
+
+
+def test_device_in_the_corpus_is_not_read(capsys, tmp_path, kb_path):
+    # A corpus entry linked to a device such as /dev/zero was read until memory
+    # ran out; /dev/null stands in for it here.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    (corpus / "x.txt").symlink_to(os.devnull)
+    code, out, err = run(capsys, "train", "--corpus", corpus, "--lexicon", LEXICON,
+                         "--kb", kb_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {corpus / 'x.txt'}: not a regular file\n"
+    assert not Path(kb_path).exists()
+
+
+def test_lexicon_may_be_a_pipe_but_not_a_device(capsys, tmp_path):
+    # `--lexicon <(cat lexicon.txt)` names a pipe with a writer: it is read to its end.
+    with open(LEXICON, "rb") as lexicon:
+        proc = run_subprocess("lexicon", "validate", "/dev/stdin", stdin=lexicon)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, "lexicon", "validate", LEXICON)[1]
+    # A FIFO without a writer reads as empty, which is no lexicon.
+    fifo = tmp_path / "lexicon.txt"
+    os.mkfifo(fifo)
+    proc = run_subprocess("lexicon", "validate", fifo)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: line 0: missing [outlet] declaration\n"
+    code, out, err = run(capsys, "lexicon", "validate", os.devnull)
+    assert (code, out, err) == (2, "", f"error: {os.devnull}: not a regular file\n")

@@ -174,10 +174,11 @@ def test_history_record_keeps_fractions_and_converts_other_types():
     history.record("k", "x", "1", half)
     history.record("k", "x", "2", -1)
     history.record("k", "x", "3", "1/3")
-    (_, first), (_, second), (_, third) = history_entries(history, "k", "x")
-    assert first is half
-    assert type(second) is Fraction and second == -1
-    assert type(third) is Fraction and third == Fraction(1, 3)
+    # Each score is stored as (num, den) integers in lowest terms.
+    assert list(history.items()) == [(("k", "x"), [("1", 1, 2), ("2", -1, 1), ("3", 1, 3)])]
+    assert all(type(n) is type(d) is int for (_, entries) in history.items() for _, n, d in entries)
+    assert history.scores("x") == [half, Fraction(-1), Fraction(1, 3)]
+    assert all(type(score) is Fraction for score in history.scores("x"))
     with pytest.raises(ValueError):
         history.record("k", "x", "4", 2)
     assert len(history_entries(history, "k", "x")) == 3
@@ -185,9 +186,9 @@ def test_history_record_keeps_fractions_and_converts_other_types():
 
 def test_history_set_entries_matches_record():
     recorded, stored = ArticleScoreHistory(), ArticleScoreHistory()
-    entries = [("1", Fraction(1, 2)), ("2", Fraction(-1))]
-    for article_id, score in entries:
-        recorded.record("k", "x", article_id, score)
+    entries = [("1", 1, 2), ("2", -1, 1)]
+    for article_id, num, den in entries:
+        recorded.record("k", "x", article_id, Fraction(num, den))
     stored.set_entries("k", "x", list(entries))
     stored.set_entries("m", "x", [])
     assert stored == recorded

@@ -3,16 +3,32 @@
 The references below are the forms the score lines used before:
 ``float(score)`` for the decimals, comparisons with 0 for the
 classification and ``-1 <= score <= 1`` for the history's range check.
+``train`` and ``report`` format a score from its numerator and
+denominator, read off once; the same references check those forms, and
+``report``'s rows are checked against the tendencies of the frozen
+ledger oracle.
 """
 
+import contextlib
+import io
+import json
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polisent.cli import _decimal, _fmt_score
+import ledger_oracle
+from polisent import kb as kbmod
+from polisent.cli import (
+    _classify, _compact, _decimal, _fmt_score, _four_places, _ratio, _score_text, main,
+)
+from polisent.kb import KnowledgeBase
 from polisent.ledger import NEUTRAL, ArticleScoreHistory, classify_score
+from support import random_kb
 
 
 def reference_decimal(score) -> str:
@@ -85,3 +101,90 @@ def test_neutral_classifies_as_before():
 @example(score=Fraction(10**30 + 1, 10**30))
 def test_record_range_check_matches_comparisons(score):
     assert outcome(record, score) == outcome(reference_record, score)
+
+
+def check_pair_forms(score) -> None:
+    num, den = score.numerator, score.denominator
+    assert _ratio(num, den) == str(score)
+    assert _four_places(num, den) == reference_decimal(score)
+    assert _compact(_four_places(num, den)) == reference_fmt_score(score)
+    assert _classify(num) == reference_classify(score)
+    assert _score_text(score) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
+
+
+@given(score=fractions)
+def test_forms_from_integer_pairs_match_float_forms(score):
+    check_pair_forms(score)
+
+
+@pytest.mark.parametrize("score", EDGES, ids=str)
+def test_forms_from_integer_pairs_match_float_forms_at_edges(score):
+    check_pair_forms(score)
+
+
+def report_rows(kb: KnowledgeBase) -> tuple[list[list[str]], list[dict]]:
+    """``report``'s tsv rows, split at tabs, and its json rows, over ``kb`` saved to a file."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "kb.json"
+        path.write_text(kbmod.dumps(kb), encoding="utf-8")
+        outputs = []
+        for form in ("tsv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["report", "--kb", str(path), "--format", form]) == 0
+            outputs.append(out.getvalue())
+    tsv, document = outputs
+    header, *lines = tsv.splitlines()
+    assert header == "whom\tarticles\ttendency\tdecimal\tclassification"
+    return [line.split("\t") for line in lines], json.loads(document)["rows"]
+
+
+def check_report(kb: KnowledgeBase) -> None:
+    tsv, rows = report_rows(kb)
+    pairs = sorted((key for key, _ in kb.history.items()), key=lambda key: (key[1], key[0]))
+    want = []
+    for outlet, whom in pairs:
+        tendency = ledger_oracle.outlet_tendency(kb.history, whom, outlet=outlet)
+        want.append({
+            "outlet": outlet,
+            "whom": whom,
+            "articles": len(ledger_oracle.scores(kb.history, whom, outlet=outlet)),
+            "tendency": str(tendency),
+            "decimal": reference_decimal(tendency),
+            "classification": reference_classify(tendency),
+        })
+    assert rows == want
+    assert tsv == [[row["whom"], str(row["articles"]), row["tendency"], row["decimal"],
+                    row["classification"]] for row in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_report_rows_match_oracle_over_random_kbs(seed):
+    check_report(random_kb(random.Random(seed)))
+
+
+# Scores in [-1, 1] with denominators up to 10**30, in lowest terms.
+in_range = st.integers(1, 10**30).flatmap(
+    lambda den: st.builds(Fraction, st.integers(-den, den), st.just(den)))
+histories = st.lists(
+    st.tuples(st.sampled_from(("k", "m")), st.sampled_from(("andi", "kpk")), in_range),
+    max_size=10,
+)
+BIG = 10**30
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=histories)
+@example(entries=[("k", "andi", Fraction(1, BIG - 1))])
+@example(entries=[("k", "andi", Fraction(1, BIG - 1)), ("k", "andi", Fraction(-1, BIG - 1))])
+# Three denominators whose mean cancels to 0, beside a single-entry pair.
+@example(entries=[("k", "andi", Fraction(1, 2)), ("k", "andi", Fraction(-1, 3)),
+                  ("k", "andi", Fraction(-1, 6)), ("m", "andi", Fraction(-1, 20000))])
+def test_report_rows_match_oracle_over_wide_denominators(entries):
+    history = ArticleScoreHistory()
+    for i, (outlet, whom, score) in enumerate(entries):
+        history.record(outlet, whom, f"a{i}", score)
+    processed = {f"a{i}" for i in range(len(entries))}
+    kb = KnowledgeBase(history=history, processed=processed,
+                       lexicon_fingerprint="f" * 64 if entries else None)
+    check_report(kb)
