@@ -25,7 +25,6 @@ from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps
 from .errors import DuplicateArticle, PolisentError
 from .ledger import (
     article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
-    classify_score,
     format_matrix,
     outlet_tendency,
 )
@@ -55,23 +54,13 @@ def _classify(num: int) -> str:
 
 
 def _score_text(score) -> str:
-    """The end of a train score or tendency line: -1/4 -> "-0.25 (negative)".
+    """The end of a score or tendency line: -1/4 -> "-0.25 (negative)".
 
     Like ``report``, it reads the score's numerator and denominator once:
     on Python 3.11 each ``Fraction`` property read is a Python-level call.
     """
     num, den = score.as_integer_ratio()
     return f"{_compact(_four_places(num, den))} ({_classify(num)})"
-
-
-def _decimal(score) -> str:
-    """A score to four places, -1/4 -> "-0.2500"."""
-    return _four_places(score.numerator, score.denominator)
-
-
-def _fmt_score(score) -> str:
-    """Compact decimal for analyze's score lines: -1/4 -> "-0.25", -1 -> "-1"."""
-    return _compact(_decimal(score))
 
 
 def _nonempty(text: str) -> str:
@@ -124,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     if args.trace:
         print(trace(scored.records, article.outlet_id), end="")
     for whom, score in scored.scores.items():
-        print(f"{whom} {_fmt_score(score)} ({classify_score(score)})")
+        print(f"{whom} {_score_text(score)}")
 
 
 _REPORT_FIELDS = ("outlet", "whom", "articles", "tendency", "decimal", "classification")

@@ -16,12 +16,8 @@ from typing import Iterator, NamedTuple
 class _NeutralType:
     """Singleton marker for "no evidence either way"."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self) -> str:
+        return "NEUTRAL"  # copy and pickle give back the module's one instance
 
     def __repr__(self) -> str:
         return "Neutral"

@@ -208,7 +208,7 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
     entities: list[tuple[int, str, list[str]]] = []
     tokens: dict[str, Token] = {}
 
-    line_no = 0  # after the loop: the last line, which a missing outlet reports
+    line_no = 0  # after the loop: the last line, which a missing outlet reports, or 0 for none
     try:
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -276,7 +276,7 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
         for line_no, canonical, aliases in entities:
             _check_entity(canonical, aliases, outlet, stopwords)
     except LexiconError as exc:
-        raise type(exc)(str(exc), line=line_no) from None
+        raise type(exc)(str(exc), line=line_no or None) from None
 
     return Lexicon(outlet, tokens)
 

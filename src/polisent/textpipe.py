@@ -7,14 +7,17 @@ the body.  Processing is a pure function of (body, lexicon):
     segment -> tokenize -> cleanse -> resolve
 
 Sentences end at ``.``, ``!`` or ``?`` followed by whitespace or end of
-text.  Tokenization splits a sentence into word runs and punctuation
-marks and lowercases them: an ASCII sentence as a whole, any other token
-by token.  Cleansing drops punctuation and stopwords and keeps every
-other word as a :class:`Token` (the word, its kind, and its valence or
-entity id), read from the lexicon's word cache.  The cache classifies
-each distinct word once per lexicon, with one read of the token table,
-which holds the shared token of every declared surface, stopwords and
-punctuation included; an unknown word gets one new ``plain`` token.
+text; segmentation searches forward for each such terminator and cuts
+just after it.  Tokenization splits a sentence into word runs and
+punctuation marks and lowercases them: an ASCII sentence as a whole,
+then scanned with ASCII character classes (its word characters are
+``[a-z0-9_]``), any other token by token.  Cleansing drops punctuation
+and stopwords and keeps every other word as a :class:`Token` (the word,
+its kind, and its valence or entity id), read from the lexicon's word
+cache.  The cache classifies each distinct word once per lexicon, with
+one read of the token table, which holds the shared token of every
+declared surface, stopwords and punctuation included; an unknown word
+gets one new ``plain`` token.
 Resolution walks the lexicon's token trie of entity surfaces and
 replaces each alias (longest match wins) with one token holding its
 canonical entity id.
@@ -30,9 +33,11 @@ from typing import NamedTuple
 from .errors import CorpusError, read_utf8
 from .lexicon import ALIAS_MATCH, WORD_RE, Lexicon, Token
 
-# A terminator followed by whitespace: the zero-width split point.
-_SENTENCE_END_RE = re.compile(r"(?<=[.!?])(?=\s)")
+# A terminator followed by whitespace; a sentence ends just after it.
+_SENTENCE_END_RE = re.compile(r"[.!?](?=\s)")
 _TOKEN_RE = re.compile(rf"{WORD_RE.pattern}|[^\w\s]")
+# _TOKEN_RE on lowercase ASCII text: \w there is [a-z0-9_], and \s keeps \x1c-\x1f.
+_ASCII_TOKEN_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_\s]")
 _HEADER_RE = re.compile(r"^@article\s+(\S+)\s+@outlet\s+(\S+)\s*$")
 
 
@@ -66,19 +71,28 @@ def segment(body: str) -> list[str]:
     index.  Whitespace-only fragments are dropped; every non-whitespace
     character of the body lands in exactly one sentence.
     """
-    return [text for piece in _SENTENCE_END_RE.split(body) if (text := piece.strip())]
+    texts, start = [], 0
+    for match in _SENTENCE_END_RE.finditer(body):
+        end = match.end()
+        if text := body[start:end].strip():
+            texts.append(text)
+        start = end
+    if text := body[start:].strip():
+        texts.append(text)
+    return texts
 
 
 def tokenize(sentence_text: str, index: int) -> Sentence:
     """Split one sentence into lowercase word and punctuation tokens.
 
     An ASCII sentence is lowercased whole, which changes no character's
-    class.  Otherwise each token is lowercased on its own: lowercasing
-    can add a character that is not a word character (``"İ"`` becomes
-    ``"i"`` plus a combining dot), which must not split the word.
+    class, and scanned with ASCII classes.  Otherwise each token is
+    lowercased on its own: lowercasing can add a character that is not a
+    word character (``"İ"`` becomes ``"i"`` plus a combining dot), which
+    must not split the word.
     """
     if sentence_text.isascii():
-        return _new(Sentence, (index, tuple(_TOKEN_RE.findall(sentence_text.lower()))))
+        return _new(Sentence, (index, tuple(_ASCII_TOKEN_RE.findall(sentence_text.lower()))))
     return _new(Sentence, (index, tuple(map(str.lower, _TOKEN_RE.findall(sentence_text)))))
 
 

@@ -318,7 +318,7 @@ def load_lexicon(source: IO[str] | Iterable[str]) -> Lexicon:
             entity_lines.append(line_no)
 
     if outlet is None:
-        raise MalformedLine("missing [outlet] declaration", line=len(lines))
+        raise MalformedLine("missing [outlet] declaration", line=len(lines) or None)
     for entity, line_no in zip(entities, entity_lines):
         if entity.canonical_id == outlet:
             raise DuplicateSurface(

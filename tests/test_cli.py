@@ -17,7 +17,7 @@ import pytest
 
 from conftest import FIXTURES, REPO
 from polisent import kb as kbmod
-from polisent.cli import _fmt_score, main
+from polisent.cli import _compact, _four_places, _score_text, main
 from polisent.kb import KnowledgeBase
 from polisent.lexicon import load_lexicon_file
 from polisent.textpipe import load_corpus
@@ -297,7 +297,9 @@ def test_kb_export_outlet_without_scores_warns(capsys, trained_kb_path):
     (Fraction(-1, 4), "-0.25"), (Fraction(-1), "-1"), (Fraction(-1, 30000), "0"),
 ])
 def test_fmt_score(score, text):
-    assert _fmt_score(score) == text
+    num, den = score.as_integer_ratio()
+    assert _compact(_four_places(num, den)) == text
+    assert _score_text(score) == f"{text} (negative)"
 
 
 def test_usage_error_exit_code(capsys):
@@ -982,6 +984,6 @@ def test_lexicon_may_be_a_pipe_but_not_a_device(capsys, tmp_path):
     os.mkfifo(fifo)
     proc = run_subprocess("lexicon", "validate", fifo)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: line 0: missing [outlet] declaration\n"
+    assert proc.stderr == "error: missing [outlet] declaration\n"
     code, out, err = run(capsys, "lexicon", "validate", os.devnull)
     assert (code, out, err) == (2, "", f"error: {os.devnull}: not a regular file\n")

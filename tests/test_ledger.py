@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -107,6 +109,15 @@ def test_article_score_article2(article2_ledger):
 
 def test_article_score_unmentioned_is_neutral(article1_ledger):
     assert article_score(article1_ledger, "nobody") is NEUTRAL
+
+
+def test_neutral_copies_and_pickles_as_itself():
+    assert copy.copy(NEUTRAL) is NEUTRAL
+    assert copy.deepcopy(NEUTRAL) is NEUTRAL
+    assert copy.deepcopy({"score": NEUTRAL})["score"] is NEUTRAL
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(NEUTRAL, protocol)) is NEUTRAL
+    assert repr(NEUTRAL) == "Neutral"
 
 
 def test_article_score_matches_brute_force():

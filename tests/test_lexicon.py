@@ -128,6 +128,11 @@ def test_missing_outlet_reports_line():
     with pytest.raises(MalformedLine) as err:
         loads("[stopwords]\n")
     assert "outlet" in str(err.value)
+    assert err.value.line == 1
+    # A lexicon with no lines has no line to name.
+    with pytest.raises(MalformedLine) as err:
+        loads("")
+    assert (err.value.line, str(err.value)) == (None, "missing [outlet] declaration")
 
 
 def test_comments_and_blanks_ignored():

@@ -3,9 +3,9 @@
 The references below are the forms the score lines used before:
 ``float(score)`` for the decimals, comparisons with 0 for the
 classification and ``-1 <= score <= 1`` for the history's range check.
-``train`` and ``report`` format a score from its numerator and
-denominator, read off once; the same references check those forms, and
-``report``'s rows are checked against the tendencies of the frozen
+``train``, ``analyze`` and ``report`` format a score from its numerator
+and denominator, read off once; the same references check those forms,
+and ``report``'s rows are checked against the tendencies of the frozen
 ledger oracle.
 """
 
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import ledger_oracle
 from polisent import kb as kbmod
 from polisent.cli import (
-    _classify, _compact, _decimal, _fmt_score, _four_places, _ratio, _score_text, main,
+    _classify, _compact, _four_places, _ratio, _score_text, main,
 )
 from polisent.kb import KnowledgeBase
 from polisent.ledger import NEUTRAL, ArticleScoreHistory, classify_score
@@ -73,8 +73,8 @@ EDGES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 10**30), Fraction(-
 
 
 def check_score_lines(score) -> None:
-    assert _decimal(score) == reference_decimal(score)
-    assert _fmt_score(score) == reference_fmt_score(score)
+    # analyze's score line, and the ledger's own classification of the score.
+    assert _score_text(score) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
     assert classify_score(score) == reference_classify(score)
 
 

@@ -163,3 +163,29 @@ def test_fixture_corpus_matches_oracle(lexicon, corpus):
     for article in corpus:
         check_stages(article.body, lexicon)
         check_article(article.body, lexicon, [("k", "andi", -1), ("deddy", "kpk", -1)])
+
+
+ASCII = [chr(code) for code in range(128)]  # every letter in both cases
+
+
+def test_every_ascii_pair_tokenizes_as_oracle():
+    for first in ASCII:
+        for second in ASCII:
+            for text in (first + second, f"{first} {second}"):
+                want = tuple(match.lower() for match in oracle._TOKEN_RE.findall(text))
+                assert tokenize(text, 1).tokens == want, repr(text)
+
+
+WHITESPACE = [chr(code) for code in range(0x3001) if chr(code).isspace()]
+
+
+def test_short_strings_segment_as_oracle():
+    # Up to U+3000, str.isspace() accepts 29 characters, and re's \s the same ones.
+    assert len(WHITESPACE) == 29
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000"} <= set(WHITESPACE)
+    alphabet = ["a", "B", ".", "!", "?", "_", *WHITESPACE]
+    texts = [""]
+    for _ in range(3):
+        texts = [text + char for text in texts for char in alphabet]
+        for text in texts:
+            assert segment(text) == oracle.segment(text), repr(text)
