@@ -40,7 +40,6 @@ class StatementRecord(NamedTuple):
     whom: str
     value: int
     sarcasm: bool = False
-    negation_count: int = 0
 
 
 # Builds a StatementRecord without the Python-level ``__new__`` of a NamedTuple.
@@ -84,8 +83,7 @@ def analyze_article(
                     and prior.cell(current_who, current_whom).p < 0
                 )
                 records.append(_new(StatementRecord, (article_id, sentence.index, current_who,
-                                                      current_whom, value, sarcasm,
-                                                      negation_count)))
+                                                      current_whom, value, sarcasm)))
     return records
 
 

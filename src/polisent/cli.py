@@ -49,7 +49,7 @@ def _compact(decimal: str) -> str:
 
 
 def _classify(num: int) -> str:
-    """What ``classify_score`` says of a score whose numerator is ``num``."""
+    """The class of a score whose numerator is ``num``; denominators are positive."""
     return "neutral" if not num else "positive" if num > 0 else "negative"
 
 

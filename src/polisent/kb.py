@@ -306,11 +306,6 @@ def loads(text: str) -> KnowledgeBase:
     if type(raw_history) is not list:
         raise CorruptDocument("history", "expected an array")
     history = ArticleScoreHistory()
-    # An article score is p/s over one article's few statements toward a
-    # target, so the same values recur across articles: on the benchmark
-    # KBs under 8% of the scores are distinct.  Each distinct (num, den)
-    # is checked once.
-    checked: set[tuple[int, int]] = set()
     # Every pair, also one whose empty score list set_entries drops.
     seen_pairs: set[tuple[str, str]] = set()
     for i, raw in enumerate(raw_history):
@@ -360,20 +355,18 @@ def loads(text: str) -> KnowledgeBase:
                 raise _int_fault(num, f"history[{i}].scores[{j}].num")
             if type(den) is not int:
                 raise _int_fault(den, f"history[{i}].scores[{j}].den")
-            if (num, den) not in checked:  # the checks below depend on (num, den) alone
-                if den < 1:
-                    raise CorruptDocument(
-                        f"history[{i}].scores[{j}].den", "denominator must be at least 1"
-                    )
-                if abs(num) > den:
-                    raise CorruptDocument(
-                        f"history[{i}].scores[{j}]", f"score {num}/{den} outside [-1, 1]"
-                    )
-                if gcd(num, den) != 1:
-                    raise CorruptDocument(
-                        f"history[{i}].scores[{j}]", f"{num}/{den} is not in lowest terms"
-                    )
-                checked.add((num, den))
+            if den < 1:
+                raise CorruptDocument(
+                    f"history[{i}].scores[{j}].den", "denominator must be at least 1"
+                )
+            if abs(num) > den:
+                raise CorruptDocument(
+                    f"history[{i}].scores[{j}]", f"score {num}/{den} outside [-1, 1]"
+                )
+            if gcd(num, den) != 1:
+                raise CorruptDocument(
+                    f"history[{i}].scores[{j}]", f"{num}/{den} is not in lowest terms"
+                )
             entries.append(entry)
         history.set_entries(outlet, whom, entries)
 

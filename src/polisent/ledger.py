@@ -99,13 +99,6 @@ def speaker_score(cell: Cell) -> Score:
     return Fraction(cell.p, cell.s)
 
 
-def classify_score(score: Score) -> str:
-    """The sign of the score's numerator (denominators are positive), in words."""
-    if score is NEUTRAL or not score.numerator:
-        return "neutral"
-    return "positive" if score.numerator > 0 else "negative"
-
-
 def article_score(article_ledger: PolarityLedger, whom: str) -> Score:
     """Ratio of summed polarities to summed counts toward one target.
 

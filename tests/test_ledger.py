@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from polisent.analyzer import StatementRecord, analyze_article
+from polisent.cli import _classify
 from polisent.ledger import (
     NEUTRAL,
     ArticleScoreHistory,
     Cell,
     PolarityLedger,
     article_score,
-    classify_score,
     format_matrix,
     merge,
     outlet_tendency,
@@ -51,7 +51,7 @@ def test_apply_single_record():
 def test_apply_cancellation_is_neutral():
     ledger = apply_all([record("a", "b", 1), record("a", "b", -1)])
     assert ledger.cell("a", "b") == Cell(0, 2)
-    assert classify_score(speaker_score(ledger.cell("a", "b"))) == "neutral"
+    assert _classify(speaker_score(ledger.cell("a", "b")).numerator) == "neutral"
 
 
 def test_apply_rejects_bad_value():
@@ -82,10 +82,10 @@ def test_speaker_score_examples():
 
 
 def test_classify_examples():
-    assert classify_score(speaker_score(Cell(1, 1))) == "positive"
-    assert classify_score(speaker_score(Cell(0, 4))) == "neutral"
-    assert classify_score(speaker_score(Cell(-7, 7))) == "negative"
-    assert classify_score(speaker_score(Cell(0, 0))) == "neutral"
+    assert _classify(speaker_score(Cell(1, 1)).numerator) == "positive"
+    assert _classify(speaker_score(Cell(0, 4)).numerator) == "neutral"
+    assert _classify(speaker_score(Cell(-7, 7)).numerator) == "negative"
+    assert speaker_score(Cell(0, 0)) is NEUTRAL
 
 
 def test_classify_matches_score_sign():
@@ -94,7 +94,7 @@ def test_classify_matches_score_sign():
         s = rng.randint(1, 30)
         p = rng.randint(-s, s)
         expected = "positive" if p > 0 else "negative" if p < 0 else "neutral"
-        assert classify_score(speaker_score(Cell(p, s))) == expected
+        assert _classify(speaker_score(Cell(p, s)).numerator) == expected
 
 
 def test_article_score_article1(article1_ledger):

@@ -27,7 +27,7 @@ from polisent.cli import (
     _classify, _compact, _four_places, _ratio, _score_text, main,
 )
 from polisent.kb import KnowledgeBase
-from polisent.ledger import NEUTRAL, ArticleScoreHistory, classify_score
+from polisent.ledger import NEUTRAL, ArticleScoreHistory
 from support import random_kb
 
 
@@ -73,9 +73,8 @@ EDGES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 10**30), Fraction(-
 
 
 def check_score_lines(score) -> None:
-    # analyze's score line, and the ledger's own classification of the score.
+    # analyze's score line.
     assert _score_text(score) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
-    assert classify_score(score) == reference_classify(score)
 
 
 @given(score=fractions)
@@ -89,7 +88,8 @@ def test_score_lines_match_float_forms_at_edges(score):
 
 
 def test_neutral_classifies_as_before():
-    assert classify_score(NEUTRAL) == reference_classify(NEUTRAL) == "neutral"
+    # No command prints NEUTRAL; its class is the one a zero numerator gets.
+    assert _classify(0) == reference_classify(NEUTRAL) == "neutral"
 
 
 @given(score=fractions)

@@ -170,7 +170,6 @@ def analyze_article(article: RawArticle, lexicon: Lexicon, prior=None) -> list[S
                         whom=current_whom,
                         value=value,
                         sarcasm=sarcasm,
-                        negation_count=negation_count,
                     )
                 )
     return records
