@@ -140,16 +140,16 @@ def cmd_report(args: argparse.Namespace) -> None:
 
 def cmd_kb_export(args: argparse.Namespace) -> None:
     kb = kbmod.load(args.kb)
-    outlets = {outlet for (outlet, _), _ in kb.history.items()}
+    outlets = kb.history.outlets()
     outlet = args.outlet or (outlets.pop() if len(outlets) == 1 else None)
     if args.outlet and outlet not in outlets:
         print(f"warning: outlet {outlet} has no scores in the knowledge base", file=sys.stderr)
-    grids = [("M", "p", False), ("N", "s", False), ("M", "p", True), ("N", "s", True)]
-    for i, (name, value, view) in enumerate(grids[: 2 if outlet is None else 4]):
-        if i:
-            print()
-        print(f"# matrix {name} ({'outlet view' if view else 'direct'})")
-        print(format_matrix(kb.cumulative, outlet or "0", value, view), end="")
+    grids = format_matrix(kb.cumulative, outlet or "0", outlet is not None)
+    headers = ("# matrix M (direct)\n", "\n# matrix N (direct)\n",
+               "\n# matrix M (outlet view)\n", "\n# matrix N (outlet view)\n")
+    for header, grid in zip(headers, grids):  # one write each: a join would copy every byte
+        sys.stdout.write(header)
+        sys.stdout.write(grid)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,6 +176,9 @@ class ArticleScoreHistory:
         for key in sorted(scores):
             yield key, scores[key]
 
+    def outlets(self) -> set[str]:
+        return {outlet for outlet, _ in self._scores}
+
     def __len__(self) -> int:
         return len(self._scores)
 
@@ -212,48 +215,56 @@ def outlet_tendency(
 
 
 def format_matrix(
-    ledger: PolarityLedger,
-    outlet: str,
-    value: str = "p",
-    with_outlet_view: bool = False,
-) -> str:
-    """Tab-separated grid, rows are targets and columns are speakers.
+    ledger: PolarityLedger, outlet: str, with_outlet_view: bool = False
+) -> list[str]:
+    """Tab-separated grids, rows are targets and columns are speakers.
 
-    ``value`` selects the polarity ("p") or count ("s") matrix.  With
-    ``with_outlet_view`` the outlet's column shows the derived view
-    instead of its direct cells; other columns are always direct.
+    Returns the polarity (M) and count (N) grids of the direct cells and,
+    with ``with_outlet_view``, M and N again with the outlet's column
+    showing the derived view (see ``outlet_view``) instead of its direct
+    cells; other columns are always direct.
     """
-    field = Cell._fields.index(value)  # ValueError for any other value
     whos = [outlet] + sorted(ledger.whos() - {outlet})
     column = {who: i for i, who in enumerate(whos)}
-    # One pass groups the direct cells by target as (column, value).
-    rows: dict[str, list[tuple[int, int]]] = {}
-    for (who, whom), cell in ledger._cells.items():
-        rows.setdefault(whom, []).append((column[who], cell[field]))
+    # One pass groups the cells by target as (column, p, s).
+    rows: dict[str, list[tuple[int, int, int]]] = {}
+    for (who, whom), (p, s) in ledger._cells.items():
+        rows.setdefault(whom, []).append((column[who], p, s))
     whoms = [outlet] + sorted((rows.keys() | column.keys()) - {outlet})
-    # A row is its label, its cells in column order and, between them,
-    # runs of zeros cut from one string: O(cells) per row, plus the copy.
+    # All grids share one layout: the fixed text before each value slot,
+    # then the text after the last.  A row with cells has a slot in the
+    # outlet's column, the one column where the views differ, and one per
+    # cell after it; the zeros between are cut from one prebuilt string.
     zeros = "\t0" * len(whos)
-    lines = ["\t".join([""] + whos)]
+    fixed: list[str] = []
+    p_direct, s_direct, p_view, s_view = [], [], [], []  # each grid's values, slot by slot
+    text = "\t" + "\t".join(whos) + "\n"  # fixed text since the last slot
     for whom in whoms:
         row = rows.get(whom)
         if row is None:
-            lines.append(whom + zeros)
+            text += whom + zeros + "\n"
             continue
         row.sort()
-        parts = [whom]
-        done = 0  # columns written so far
+        if row[0][0]:
+            row.insert(0, (0, 0, 0))
+        cols, ps, ss = zip(*row)
+        fixed.append(text + whom + "\t")
+        fixed += [zeros[: 2 * (c - b - 1)] + "\t" for b, c in zip(cols, cols[1:])]
+        text = zeros[2 * cols[-1] + 2:] + "\n"
+        p_direct += ps
+        s_direct += ss
         if with_outlet_view:
-            # The outlet's column shows the row's sum (see ``outlet_view``)
-            # in place of its own direct cell.
-            parts.append(f"\t{sum(v for _, v in row)}")
-            done = 1
-            if row[0][0] == 0:
-                del row[0]
-        for i, v in row:
-            parts.append(zeros[: 2 * (i - done)])
-            parts.append(f"\t{v}")
-            done = i + 1
-        parts.append(zeros[2 * done:])
-        lines.append("".join(parts))
-    return "\n".join(lines) + "\n"
+            p_view.append(sum(ps))
+            p_view += ps[1:]
+            s_view.append(sum(ss))
+            s_view += ss[1:]
+    fixed.append(text)
+    # Each grid is one join of the layout with its values as text: a label
+    # is only ever copied, never read as a format.
+    parts: list[str] = [""] * (2 * len(fixed) - 1)
+    parts[::2] = fixed
+    grids = []
+    for values in (p_direct, s_direct, p_view, s_view)[: 4 if with_outlet_view else 2]:
+        parts[1::2] = map(str, values)
+        grids.append("".join(parts))
+    return grids

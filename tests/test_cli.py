@@ -293,6 +293,136 @@ def test_kb_export_outlet_without_scores_warns(capsys, trained_kb_path):
     assert err == ""
 
 
+# `kb export` stdout over the fixtures' trained KB, whose one outlet is k: with
+# --outlet k (the same as no --outlet), with --outlet zz and, once a third
+# article from outlet m is trained in, with no --outlet (grids headed 0).
+EXPORT_K = (
+    "# matrix M (direct)\n"
+    "\tk\tahmad\tkm\tkpk\n"
+    "k\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\n"
+    "andi\t-7\t2\t1\t-1\n"
+    "deddy\t0\t0\t0\t-1\n"
+    "km\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t0\t0\n"
+    "\n"
+    "# matrix N (direct)\n"
+    "\tk\tahmad\tkm\tkpk\n"
+    "k\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\n"
+    "andi\t7\t2\t1\t1\n"
+    "deddy\t0\t0\t0\t1\n"
+    "km\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t0\t0\n"
+    "\n"
+    "# matrix M (outlet view)\n"
+    "\tk\tahmad\tkm\tkpk\n"
+    "k\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\n"
+    "andi\t-5\t2\t1\t-1\n"
+    "deddy\t-1\t0\t0\t-1\n"
+    "km\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t0\t0\n"
+    "\n"
+    "# matrix N (outlet view)\n"
+    "\tk\tahmad\tkm\tkpk\n"
+    "k\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\n"
+    "andi\t11\t2\t1\t1\n"
+    "deddy\t1\t0\t0\t1\n"
+    "km\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t0\t0\n"
+)
+
+EXPORT_ZZ = (
+    "# matrix M (direct)\n"
+    "\tzz\tahmad\tk\tkm\tkpk\n"
+    "zz\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\n"
+    "andi\t0\t2\t-7\t1\t-1\n"
+    "deddy\t0\t0\t0\t0\t-1\n"
+    "k\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\n"
+    "kpk\t0\t0\t1\t0\t0\n"
+    "\n"
+    "# matrix N (direct)\n"
+    "\tzz\tahmad\tk\tkm\tkpk\n"
+    "zz\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\n"
+    "andi\t0\t2\t7\t1\t1\n"
+    "deddy\t0\t0\t0\t0\t1\n"
+    "k\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\n"
+    "kpk\t0\t0\t1\t0\t0\n"
+    "\n"
+    "# matrix M (outlet view)\n"
+    "\tzz\tahmad\tk\tkm\tkpk\n"
+    "zz\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\n"
+    "andi\t-5\t2\t-7\t1\t-1\n"
+    "deddy\t-1\t0\t0\t0\t-1\n"
+    "k\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t1\t0\t0\n"
+    "\n"
+    "# matrix N (outlet view)\n"
+    "\tzz\tahmad\tk\tkm\tkpk\n"
+    "zz\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\n"
+    "andi\t11\t2\t7\t1\t1\n"
+    "deddy\t1\t0\t0\t0\t1\n"
+    "k\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\n"
+    "kpk\t1\t0\t1\t0\t0\n"
+)
+
+EXPORT_TWO_OUTLETS = (
+    "# matrix M (direct)\n"
+    "\t0\tahmad\tk\tkm\tkpk\tm\n"
+    "0\t0\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\t0\n"
+    "andi\t0\t2\t-7\t1\t-1\t0\n"
+    "deddy\t0\t0\t0\t0\t-1\t0\n"
+    "k\t0\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\t0\n"
+    "kpk\t0\t0\t1\t0\t0\t1\n"
+    "m\t0\t0\t0\t0\t0\t0\n"
+    "\n"
+    "# matrix N (direct)\n"
+    "\t0\tahmad\tk\tkm\tkpk\tm\n"
+    "0\t0\t0\t0\t0\t0\t0\n"
+    "ahmad\t0\t0\t0\t0\t0\t0\n"
+    "andi\t0\t2\t7\t1\t1\t0\n"
+    "deddy\t0\t0\t0\t0\t1\t0\n"
+    "k\t0\t0\t0\t0\t0\t0\n"
+    "km\t0\t0\t0\t0\t0\t0\n"
+    "kpk\t0\t0\t1\t0\t0\t1\n"
+    "m\t0\t0\t0\t0\t0\t0\n"
+)
+
+
+def test_kb_export_stdout_with_outlet(capsys, trained_kb_path):
+    code, out, err = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "k")
+    assert (code, out, err) == (0, EXPORT_K, "")
+    assert run(capsys, "kb", "export", "--kb", trained_kb_path) == (0, EXPORT_K, "")
+
+
+def test_kb_export_stdout_outlet_without_scores(capsys, trained_kb_path):
+    code, out, err = run(capsys, "kb", "export", "--kb", trained_kb_path, "--outlet", "zz")
+    assert (code, out) == (0, EXPORT_ZZ)
+    assert err == "warning: outlet zz has no scores in the knowledge base\n"
+
+
+def test_kb_export_stdout_two_outlets(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    (corpus / "3.txt").write_text("@article 3 @outlet m\nAndi berkata KPK baik.\n")
+    kb = str(tmp_path / "two.kb.json")
+    code, _, _ = run(capsys, "train", "--corpus", str(corpus), "--lexicon", LEXICON, "--kb", kb)
+    assert code == 0
+    assert run(capsys, "kb", "export", "--kb", kb) == (0, EXPORT_TWO_OUTLETS, "")
+
+
 @pytest.mark.parametrize("score, text", [
     (Fraction(-1, 4), "-0.25"), (Fraction(-1), "-1"), (Fraction(-1, 30000), "0"),
 ])

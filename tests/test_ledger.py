@@ -244,20 +244,27 @@ def test_invariants_after_random_streams():
 
 
 def test_matrix_direct_grid(article1_ledger):
-    grid = format_matrix(article1_ledger, "k", value="p")
-    assert grid == (
+    polarity, counts = format_matrix(article1_ledger, "k")
+    assert polarity == (
         "\tk\tkpk\n"
         "k\t0\t0\n"
         "andi\t-6\t-1\n"
         "deddy\t0\t-1\n"
         "kpk\t1\t0\n"
     )
+    assert counts == (
+        "\tk\tkpk\n"
+        "k\t0\t0\n"
+        "andi\t6\t1\n"
+        "deddy\t0\t1\n"
+        "kpk\t1\t0\n"
+    )
 
 
 def test_matrix_outlet_view_grid(article1_cumulative):
-    cumulative = article1_cumulative
-    polarity = format_matrix(cumulative, "k", value="p", with_outlet_view=True)
-    counts = format_matrix(cumulative, "k", value="s", with_outlet_view=True)
+    grids = format_matrix(article1_cumulative, "k", with_outlet_view=True)
+    assert grids[:2] == format_matrix(article1_cumulative, "k")
+    polarity, counts = grids[2:]
     assert polarity == (
         "\tk\tkpk\n"
         "k\t0\t0\n"
@@ -275,12 +282,8 @@ def test_matrix_outlet_view_grid(article1_cumulative):
 
 
 def test_matrix_article2_row(article2_ledger):
-    grid = format_matrix(article2_ledger, "k", value="p")
-    lines = grid.splitlines()
+    polarity, counts = format_matrix(article2_ledger, "k")
+    lines = polarity.splitlines()
     assert lines[0] == "\tk\tahmad\tkm"
     assert "andi\t-1\t2\t1" in lines
-
-
-def test_matrix_rejects_bad_value(article1_ledger):
-    with pytest.raises(ValueError):
-        format_matrix(article1_ledger, "k", value="q")
+    assert "andi\t1\t2\t1" in counts.splitlines()

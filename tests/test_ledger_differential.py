@@ -33,6 +33,14 @@ statements = st.lists(
     st.tuples(st.sampled_from(SPEAKERS), st.sampled_from(TARGETS), st.sampled_from((-1, 1))),
     max_size=60,
 )
+# Ids that a %-template or a str.format template would read as fields; the
+# matrices draw them as speakers, targets and outlets.
+FORMAT_LIKE = ("%", "%d", "{0}", "}")
+matrix_statements = st.lists(
+    st.tuples(st.sampled_from(SPEAKERS + FORMAT_LIKE), st.sampled_from(TARGETS + FORMAT_LIKE),
+              st.sampled_from((-1, 1))),
+    max_size=60,
+)
 # Scores over eleven distinct denominators, whose lcm is 27,720.
 MANY_DENOMINATORS = [Fraction(num, den) for num, den in (
     (1, 2), (2, 3), (-3, 4), (4, 5), (-5, 6), (1, 7), (3, 8), (-2, 9), (7, 10), (5, 11), (-1, 12)
@@ -81,22 +89,28 @@ def test_history_reads_match_oracle(entries, whom, outlet):
 
 
 @given(
-    triples=statements,
-    outlet=st.sampled_from(SPEAKERS + (ABSENT,)),
-    value=st.sampled_from(("p", "s")),
+    triples=matrix_statements,
+    outlet=st.sampled_from(SPEAKERS + FORMAT_LIKE + ("0", ABSENT)),
     with_view=st.booleans(),
 )
-@example(triples=[("k", "andi", 1), ("k", "andi", -1)], outlet="k", value="p", with_view=True)
-@example(triples=[], outlet="k", value="s", with_view=True)
+@example(triples=[("k", "andi", 1), ("k", "andi", -1)], outlet="k", with_view=True)
+@example(triples=[], outlet="k", with_view=True)
+@example(triples=[], outlet="0", with_view=False)
 # Row andi: its only cell in the last column, then in the outlet's column.
 @example(triples=[("ani", "kpk", 1), ("budi", "kpk", 1), ("zul", "andi", -1)],
-         outlet="k", value="p", with_view=True)
+         outlet="k", with_view=True)
 @example(triples=[("k", "andi", 1), ("ani", "kpk", -1), ("zul", "kpk", 1)],
-         outlet="k", value="s", with_view=True)
-def test_matrices_match_oracle(triples, outlet, value, with_view):
+         outlet="k", with_view=True)
+# Format-like ids as the outlet, as other speakers and as targets.
+@example(triples=[("%d", "{0}", 1), ("}", "%d", -1), ("k", "%", 1)], outlet="%d",
+         with_view=True)
+@example(triples=[("{0}", "andi", 1), ("k", "}", -1)], outlet="{0}", with_view=True)
+def test_matrices_match_oracle(triples, outlet, with_view):
     ledger = build_ledger(triples)
-    assert format_matrix(ledger, outlet, value=value, with_outlet_view=with_view) == (
-        oracle.format_matrix(ledger, outlet, value=value, with_outlet_view=with_view)
-    )
+    views = (False, True) if with_view else (False,)
+    assert format_matrix(ledger, outlet, with_outlet_view=with_view) == [
+        oracle.format_matrix(ledger, outlet, value=value, with_outlet_view=view)
+        for view in views for value in ("p", "s")
+    ]
     for whom in SPEAKERS + (ABSENT,):
         assert outlet_view(ledger, outlet, whom) == oracle.outlet_view(ledger, outlet, whom)
