@@ -19,6 +19,7 @@ import gc
 import json
 import os
 import sys
+from operator import itemgetter
 
 from . import kb as kbmod
 from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
@@ -26,7 +27,8 @@ from .errors import DuplicateArticle, PolisentError
 from .ledger import (
     article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
     format_matrix,
-    outlet_tendency,
+    outlet_tendency,  # noqa: F401  bench/spans.py wraps cli.outlet_tendency
+    tendencies,
 )
 from .lexicon import load_lexicon_file
 from .textpipe import load_corpus, read_article
@@ -53,14 +55,17 @@ def _classify(num: int) -> str:
     return "neutral" if not num else "positive" if num > 0 else "negative"
 
 
-def _score_text(score) -> str:
-    """The end of a score or tendency line: -1/4 -> "-0.25 (negative)".
-
-    Like ``report``, it reads the score's numerator and denominator once:
-    on Python 3.11 each ``Fraction`` property read is a Python-level call.
-    """
-    num, den = score.as_integer_ratio()
+def _pair_text(num: int, den: int) -> str:
+    """The end of a score or tendency line: -1/4 -> "-0.25 (negative)"."""
     return f"{_compact(_four_places(num, den))} ({_classify(num)})"
+
+
+def _score_text(score) -> str:
+    """``_pair_text`` of a ``Fraction``, reading its numerator and denominator once.
+
+    On Python 3.11 each ``Fraction`` property read is a Python-level call.
+    """
+    return _pair_text(*score.as_integer_ratio())
 
 
 def _nonempty(text: str) -> str:
@@ -98,9 +103,10 @@ def cmd_train(args: argparse.Namespace) -> None:
                 continue
             lines += [f"{article.article_id} {whom} {_score_text(score)}"
                       for whom, score in scored.scores.items()]
-        for (outlet, whom), _ in kb.history.items():
-            tendency = outlet_tendency(kb.history, whom, outlet=outlet)
-            lines.append(f"tendency {whom} {_score_text(tendency)}")
+    # Read after the save: the lock is released sooner, and the per-pair tuples
+    # stay out of the memory peak that dumps sets.
+    lines += [f"tendency {whom} {_pair_text(num, den)}"
+              for _, whom, _, num, den in sorted(tendencies(kb.history))]
     sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
@@ -121,14 +127,10 @@ _REPORT_FIELDS = ("outlet", "whom", "articles", "tendency", "decimal", "classifi
 
 def cmd_report(args: argparse.Namespace) -> None:
     kb = kbmod.load(args.kb)
-    rows = []  # one tuple of _REPORT_FIELDS per pair, by target and then outlet
-    by_target = sorted(kb.history.items(), key=lambda item: (item[0][1], item[0][0]))
-    for (outlet, whom), entries in by_target:
-        if args.entity and whom != args.entity:
-            continue
-        num, den = outlet_tendency(kb.history, whom, outlet=outlet).as_integer_ratio()
-        rows.append((outlet, whom, len(entries), _ratio(num, den), _four_places(num, den),
-                     _classify(num)))
+    # One tuple of _REPORT_FIELDS per pair, by target and then outlet.
+    rows = [(outlet, whom, articles, _ratio(num, den), _four_places(num, den), _classify(num))
+            for outlet, whom, articles, num, den
+            in sorted(tendencies(kb.history, args.entity), key=itemgetter(1, 0))]
     if args.format == "json":
         document = {"rows": [dict(zip(_REPORT_FIELDS, row)) for row in rows]}
         print(json.dumps(document, sort_keys=True, indent=2))

@@ -9,7 +9,7 @@ distinct no-evidence outcome and is never encoded as zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
 
@@ -191,19 +191,12 @@ class ArticleScoreHistory:
         return f"ArticleScoreHistory(pairs={len(self._scores)})"
 
 
-def outlet_tendency(
-    history: ArticleScoreHistory, whom: str, outlet: str | None = None
-) -> Score:
-    """Arithmetic mean of the recorded article scores for one target.
+def _mean(entries: list[tuple[str, int, int]]) -> tuple[int, int]:
+    """The mean of non-empty ``(article_id, num, den)`` entries as ``(num, den)`` in lowest terms.
 
-    Reads only the scores of the (outlet, whom) pair asked for; with
-    ``outlet=None`` it scans every pair for those toward ``whom``.  The
-    scores are summed as integers over the lcm of the denominators seen
-    so far, and the mean is one ``Fraction``.
+    The scores are summed as integers over the lcm of the denominators
+    seen so far, and one ``gcd`` reduces the mean: one that cancels is 0/1.
     """
-    entries = history._entries(whom, outlet)
-    if not entries:
-        return NEUTRAL
     total, den = 0, 1  # the sum so far is total/den
     for _, num, d in entries:
         if den % d:
@@ -211,7 +204,37 @@ def outlet_tendency(
             total *= wider // den
             den = wider
         total += num * (den // d)
-    return Fraction(total, den * len(entries))
+    den *= len(entries)
+    common = gcd(total, den)
+    return total // common, den // common
+
+
+def tendencies(
+    history: ArticleScoreHistory, whom: str | None = None
+) -> list[tuple[str, str, int, int, int]]:
+    """Each pair's ``(outlet, whom, articles, num, den)``, the mean in lowest terms.
+
+    One tuple per stored pair, or per pair toward ``whom`` when it is
+    given, in no set order; callers sort.  Builds no ``Fraction``.
+    """
+    return [(outlet, target, len(entries), *_mean(entries))
+            for (outlet, target), entries in history._scores.items()
+            if whom is None or target == whom]
+
+
+def outlet_tendency(
+    history: ArticleScoreHistory, whom: str, outlet: str | None = None
+) -> Score:
+    """Arithmetic mean of the recorded article scores for one target.
+
+    Reads only the scores of the (outlet, whom) pair asked for; with
+    ``outlet=None`` it scans every pair for those toward ``whom``.  The
+    mean is ``tendencies``' integer mean as one ``Fraction``.
+    """
+    entries = history._entries(whom, outlet)
+    if not entries:
+        return NEUTRAL
+    return Fraction(*_mean(entries))
 
 
 def format_matrix(

@@ -1,4 +1,4 @@
-"""Indexed history reads, integer tendency sums and sparse-row matrices agree with the oracle."""
+"""Indexed history reads, integer tendencies and sparse-row matrices agree with the oracle."""
 
 from fractions import Fraction
 
@@ -13,6 +13,7 @@ from polisent.ledger import (
     format_matrix,
     outlet_tendency,
     outlet_view,
+    tendencies,
 )
 
 IDS = ("k", "m", "andi", "kpk", "deddy")
@@ -86,6 +87,46 @@ def test_history_reads_match_oracle(entries, whom, outlet):
     # Type first: a tendency that cancels to 0 is a Fraction, not NEUTRAL.
     assert type(got) is type(want)
     assert got == want
+
+
+@st.composite
+def wide_scores(draw):
+    """Scores in [-1, 1] in lowest terms, with denominators of every size up to 10**30.
+
+    A plain draw up to 10**30 is nearly always small, so the size is drawn first.
+    """
+    den = draw(st.integers(1, 999)) * 10 ** draw(st.integers(0, 27)) + draw(st.integers(0, 999))
+    num = den * draw(st.integers(-1000, 1000)) // 1000 + draw(st.integers(-9, 9))
+    return Fraction(max(-den, min(den, num)), den)
+
+
+@st.composite
+def wide_histories(draw):
+    """Entries over 1-5 outlets; half the time each score is followed by its negation."""
+    outlets = draw(st.lists(st.sampled_from(OUTLETS), min_size=1, max_size=5, unique=True))
+    entries = draw(st.lists(st.tuples(st.sampled_from(outlets), st.sampled_from(IDS),
+                                      wide_scores() | article_scores), max_size=20))
+    if draw(st.booleans()):  # every pair's scores sum to 0
+        entries = [(o, w, sign * score) for o, w, score in entries for sign in (1, -1)]
+    return entries
+
+
+@given(entries=wide_histories())
+@example(entries=[])
+# Outlet k's scores cancel to 0 over three denominators; m's single score stays.
+@example(entries=[("k", "andi", Fraction(1, 2)), ("k", "andi", Fraction(-1, 3)),
+                  ("m", "andi", Fraction(1, 4)), ("k", "andi", Fraction(-1, 6))])
+@example(entries=[("k", "andi", Fraction(1, 10**30 - 1)), ("k", "andi", Fraction(1, 10**30))])
+@example(entries=[(OUTLETS[i % 5], "andi", score) for i, score in enumerate(MANY_DENOMINATORS)])
+def test_tendencies_match_oracle(entries):
+    history = build_history(entries)
+    got = tendencies(history)
+    assert sorted((outlet, whom) for outlet, whom, *_ in got) == [key for key, _ in history.items()]
+    for outlet, whom, articles, num, den in got:
+        assert (num, den) == oracle.outlet_tendency(history, whom, outlet=outlet).as_integer_ratio()
+        assert articles == len(oracle.scores(history, whom, outlet=outlet))
+    for whom in IDS + (ABSENT,):
+        assert sorted(tendencies(history, whom)) == sorted(row for row in got if row[1] == whom)
 
 
 @given(

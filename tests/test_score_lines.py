@@ -122,16 +122,13 @@ def test_forms_from_integer_pairs_match_float_forms_at_edges(score):
     check_pair_forms(score)
 
 
-def report_rows(kb: KnowledgeBase) -> tuple[list[list[str]], list[dict]]:
-    """``report``'s tsv rows, split at tabs, and its json rows, over ``kb`` saved to a file."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "kb.json"
-        path.write_text(kbmod.dumps(kb), encoding="utf-8")
-        outputs = []
-        for form in ("tsv", "json"):
-            with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert main(["report", "--kb", str(path), "--format", form]) == 0
-            outputs.append(out.getvalue())
+def report_rows(path: Path, *argv: str) -> tuple[list[list[str]], list[dict]]:
+    """``report``'s tsv rows, split at tabs, and its json rows, over the KB at ``path``."""
+    outputs = []
+    for form in ("tsv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["report", "--kb", str(path), "--format", form, *argv]) == 0
+        outputs.append(out.getvalue())
     tsv, document = outputs
     header, *lines = tsv.splitlines()
     assert header == "whom\tarticles\ttendency\tdecimal\tclassification"
@@ -139,7 +136,7 @@ def report_rows(kb: KnowledgeBase) -> tuple[list[list[str]], list[dict]]:
 
 
 def check_report(kb: KnowledgeBase) -> None:
-    tsv, rows = report_rows(kb)
+    """The whole report, and ``--entity`` for one present and one absent target."""
     pairs = sorted((key for key, _ in kb.history.items()), key=lambda key: (key[1], key[0]))
     want = []
     for outlet, whom in pairs:
@@ -152,9 +149,16 @@ def check_report(kb: KnowledgeBase) -> None:
             "decimal": reference_decimal(tendency),
             "classification": reference_classify(tendency),
         })
-    assert rows == want
-    assert tsv == [[row["whom"], str(row["articles"]), row["tendency"], row["decimal"],
-                    row["classification"]] for row in want]
+    present = [pairs[len(pairs) // 2][1]] if pairs else []
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "kb.json"
+        path.write_text(kbmod.dumps(kb), encoding="utf-8")
+        for entity in [None, *present, "nobody"]:
+            tsv, rows = report_rows(path, *(("--entity", entity) if entity else ()))
+            expected = [row for row in want if entity in (None, row["whom"])]
+            assert rows == expected
+            assert tsv == [[row["whom"], str(row["articles"]), row["tendency"], row["decimal"],
+                            row["classification"]] for row in expected]
 
 
 @settings(max_examples=60, deadline=None)
