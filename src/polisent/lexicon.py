@@ -27,12 +27,20 @@ it, and its valence or entity id; a word the lexicon lacks is ``plain``.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine, read_utf8
+
+# The built-in SHA-256 gives hashlib's digest without loading OpenSSL at every start.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # One word token.  The tokenizer splits text into these and punctuation.
 WORD_RE = re.compile(r"\w+")
@@ -98,7 +106,11 @@ class Lexicon:
     with one space) to its one shared :class:`Token`, stopwords and
     punctuation surfaces included.  The table is the only store of
     content: :func:`load_lexicon` fills and checks it, and the trie, the
-    text form and the counts are derived from it.
+    text form and the counts are derived from it, each in one pass in
+    table order.  The trie puts a one-word surface under its root
+    without splitting it; the text form groups the tokens by section
+    and sorts each group and each entity's aliases, never the whole
+    table.  The fingerprint hashes that text with the built-in SHA-256.
 
     ``word_cache`` is derived too: :func:`~polisent.textpipe.cleanse`
     fills it with one entry per distinct word it meets (779 on the
@@ -114,20 +126,23 @@ class Lexicon:
 
         # Token trie of the entity surfaces: a node maps the next word to
         # its child, and ALIAS_MATCH to the token that replaces the words
-        # so far.  Each entity has one such token, never the one cleansing
-        # gives for the id, so a replaced window can be told from a kept
-        # word by identity.
-        self.alias_trie: dict[str, dict] = {}
-        replacements: dict[str, Token] = {}
-        for surface, token in tokens.items():
-            entity_id = token.entity_id
+        # so far.  Each entity has one such token, a copy of its id's token
+        # in the table, never the one cleansing gives for the id, so a
+        # replaced window can be told from a kept word by identity.
+        trie: dict[str, dict] = {}
+        self.alias_trie = trie
+        replacements = {t[3]: _new(Token, t) for t in tokens.values() if t[0] == t[3]}
+        for token in tokens.values():
+            entity_id = token[3]
             if entity_id is None:
                 continue
-            if entity_id not in replacements:
-                replacements[entity_id] = _new(Token, (entity_id, "entity", None, entity_id))
-            node = self.alias_trie
-            for word in surface.split():
-                node = node.setdefault(word, {})
+            surface = token[0]
+            if " " in surface:
+                node = trie
+                for word in surface.split():
+                    node = node.setdefault(word, {})
+            else:  # most surfaces: one word, a child of the root
+                node = trie.setdefault(surface, {})
             node[ALIAS_MATCH] = replacements[entity_id]
 
     def lookup(self, token: str) -> Token:
@@ -139,41 +154,48 @@ class Lexicon:
         word = token.lower()
         return self.tokens.get(word) or _new(Token, (word, "plain", None, None))
 
-    def _sections(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """One pass over the table in surface order, so every list comes out sorted.
+    def _sections(self) -> tuple[dict[str, list[Token]], list[str], dict[str, list[str]]]:
+        """One pass over the table, in table order.
 
-        Returns the text lines of each word kind, in section order, and
-        the aliases of each entity id.
+        Returns the tokens of each word kind, in section order, the entity
+        ids, and the aliases of each entity id that has any.  Sorting
+        these short lists, as :meth:`dumps` does, is cheaper than sorting
+        the whole table.
         """
-        lines: dict[str, list[str]] = {k: [] for k in _KINDS.values() if k != "entity"}
+        words: dict[str, list[Token]] = {k: [] for k in _KINDS.values() if k != "entity"}
+        ids: list[str] = []
         aliases: dict[str, list[str]] = {}
-        for surface, token in sorted(self.tokens.items()):
-            _, kind, valence, entity_id = token
+        for token in self.tokens.values():
+            entity_id = token[3]
             if entity_id is None:
-                lines[kind].append(surface if valence is None else f"{surface} {valence:+d}")
+                words[token[1]].append(token)
+            elif token[0] == entity_id:
+                ids.append(entity_id)
+            elif entity_id in aliases:
+                aliases[entity_id].append(token[0])
             else:
-                owned = aliases.setdefault(entity_id, [])
-                if surface != entity_id:
-                    owned.append(surface)
-        return lines, aliases
+                aliases[entity_id] = [token[0]]
+        return words, ids, aliases
 
     def category_counts(self) -> dict[str, int]:
-        lines, aliases = self._sections()
+        words, ids, aliases = self._sections()
         return {
-            **{f"{kind}s": len(found) for kind, found in lines.items()},
-            "entities": len(aliases),
+            **{f"{kind}s": len(found) for kind, found in words.items()},
+            "entities": len(ids),
             "aliases": sum(map(len, aliases.values())),
         }
 
     def dumps(self) -> str:
         """Canonical text form; parseable by :func:`load_lexicon`."""
-        lines, aliases = self._sections()
+        words, ids, aliases = self._sections()
         out = [f"[outlet] {self.outlet_id}"]
-        for name, found in zip(_KINDS, lines.values()):  # the entities come last
-            out += ["", f"[{name}]", *found]
+        for name, found in zip(_KINDS, words.values()):  # the entities come last
+            found.sort()  # by surface: no two tokens share one
+            out += ["", f"[{name}]"]
+            out += [t[0] if t[2] is None else f"{t[0]} {t[2]:+d}" for t in found]
         out += ["", "[entities]"]
-        out += [f"{c} : {' , '.join(owned)}" if owned else c
-                for c, owned in sorted(aliases.items())]
+        ids.sort()
+        out += [f"{c} : {' , '.join(sorted(aliases[c]))}" if c in aliases else c for c in ids]
         return "\n".join(out) + "\n"
 
     def fingerprint(self) -> str:
@@ -182,7 +204,7 @@ class Lexicon:
         Computed on the first call and kept, since the lexicon is immutable.
         """
         if self._fingerprint is None:
-            self._fingerprint = hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()
+            self._fingerprint = sha256(self.dumps().encode("utf-8")).hexdigest()
         return self._fingerprint
 
     def __eq__(self, other: object) -> bool:
@@ -200,22 +222,49 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
     """Parse the lines of a lexicon file.  All errors carry the offending line number.
 
     Surfaces are claimed into the lexicon's token table in file order,
-    so the first fault in the file is the one reported; the entities are
-    checked once the stopwords are all known.
+    so the first fault in the file is the one reported.  Once the
+    stopwords are all known, the entity rules are checked over all the
+    entities at once; only if that finds a fault does
+    :func:`_check_entity` go through them in file order to report the
+    first one.
     """
     outlet: str | None = None
     section: str | None = None
-    entities: list[tuple[int, str, list[str]]] = []
+    entities: list[tuple[int, list[str]]] = []  # each entity's line and surfaces, id first
+    entity_words: list[str] = []  # the words of every id and alias
+    stopwords: set[str] = set()
     tokens: dict[str, Token] = {}
 
     line_no = 0  # after the loop: the last line, which a missing outlet reports, or 0 for none
     try:
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             lowered = line.lower()
-            if line.startswith("["):
+            if section == "entities" and line[0] != "[":  # most lines of a large lexicon
+                head, _, tail = lowered.partition(":")
+                if ":" in tail:
+                    raise MalformedLine("expected '<id> : <alias> , ...'")
+                words = head.split()
+                if len(words) != 1:
+                    raise MalformedLine("entity id must be a single token")
+                canonical = words[0]
+                surfaces = [canonical]
+                if tail and not tail.isspace():
+                    for piece in tail.split(","):
+                        alias_words = piece.split()
+                        if not alias_words:
+                            raise MalformedLine("empty alias")
+                        surfaces.append(" ".join(alias_words))
+                        words += alias_words
+                for surface in surfaces:
+                    token = _new(Token, (surface, "entity", None, canonical))
+                    if tokens.setdefault(surface, token) is not token:
+                        _claim(tokens, surface, "entity")  # raises: the surface is taken
+                entities.append((line_no, surfaces))
+                entity_words += words
+            elif line[0] == "[":
                 if lowered.startswith("[outlet]"):
                     value = lowered[len("[outlet]"):].strip()
                     if len(value.split()) != 1:
@@ -246,35 +295,22 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                         f"opinion {surface!r} has valence {valence}, expected +1 or -1"
                     )
                 _claim(tokens, surface, "opinion", valence)
-            elif section == "entities":
-                if line.count(":") > 1:
-                    raise MalformedLine("expected '<id> : <alias> , ...'")
-                head, _, tail = lowered.partition(":")
-                canonical = head.strip()
-                if len(canonical.split()) != 1:
-                    raise MalformedLine("entity id must be a single token")
-                aliases = []
-                tail = tail.strip()
-                if tail:
-                    for piece in tail.split(","):
-                        alias = " ".join(piece.split())
-                        if not alias:
-                            raise MalformedLine("empty alias")
-                        aliases.append(alias)
-                for surface in (canonical, *aliases):
-                    _claim(tokens, surface, "entity", entity_id=canonical)
-                entities.append((line_no, canonical, aliases))
             else:  # stopwords, negations, reporting
                 parts = lowered.split()
                 if len(parts) != 1:
                     raise MalformedLine("expected one token per line")
                 _claim(tokens, parts[0], _KINDS[section])
+                if section == "stopwords":
+                    stopwords.add(parts[0])
 
         if outlet is None:
             raise MalformedLine("missing [outlet] declaration")
-        stopwords = {s for s, token in tokens.items() if token.kind == "stopword"}
-        for line_no, canonical, aliases in entities:
-            _check_entity(canonical, aliases, outlet, stopwords)
+        joined = "".join(entity_words)
+        if ((outlet in tokens and tokens[outlet].entity_id == outlet)
+                or (joined and not joined.isalnum() and not WORD_RE.fullmatch(joined))
+                or not stopwords.isdisjoint(entity_words)):
+            for line_no, (canonical, *aliases) in entities:
+                _check_entity(canonical, aliases, outlet, stopwords)
     except LexiconError as exc:
         raise type(exc)(str(exc), line=line_no or None) from None
 

@@ -1,6 +1,7 @@
 import errno
 import fcntl
 import gc
+import importlib.util
 import json
 import os
 import re
@@ -49,6 +50,19 @@ def test_cli_import_loads_no_dataclasses_chain():
                          capture_output=True, text=True, check=True).stdout.split()
     assert "polisent.cli" in new
     assert {"dataclasses", "inspect", "ast", "dis"}.isdisjoint(new)
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                    reason="this Python has no built-in SHA-256 module")
+def test_cli_import_loads_no_openssl():
+    # The lexicon fingerprint hashes with the built-in SHA-256; hashlib
+    # would load OpenSSL's _hashlib in every cold start.  -S keeps site's
+    # own imports out of the check.
+    script = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import polisent.cli; "
+              "print('_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", script], cwd=REPO,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_lexicon_validate_ok(capsys):

@@ -7,6 +7,7 @@ difference allowed is the rejection of aliases the text pipeline could
 never match (a non-word character or a stopword inside the alias).
 """
 
+import random
 import re
 
 from hypothesis import example, given, settings
@@ -73,6 +74,32 @@ def lexicon_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def grown_text(seed=1, entities=500):
+    """A lexicon at the benchmark's scale, in no particular line order.
+
+    Its one- and two-word aliases share their first words, in both
+    declaration orders, so the alias trie branches below the root and a
+    one-word alias can land on a node that a longer alias made first.
+    """
+    rng = random.Random(seed)
+    firsts = [f"pak{i}" for i in range(60)]
+    lines = []
+    for i in range(entities):
+        aliases = []
+        if rng.random() < 0.5:
+            aliases.append(f"{rng.choice(firsts)} nama{i}")
+        if i < len(firsts):  # each shared first word is also one entity's one-word alias
+            aliases.append(firsts[i])
+        elif rng.random() < 0.3:
+            aliases.append(f"julukan{i}")
+        rng.shuffle(aliases)
+        lines.append(f"tokoh{i} : {' , '.join(aliases)}" if aliases else f"tokoh{i}")
+    rng.shuffle(lines)
+    return "\n".join(["[outlet] k", "[stopwords]", "si", "yang", "[negations]", "tidak",
+                      "[reporting]", "kata", "[opinions]", "baik +1", "buruk -1",
+                      "[entities]", *lines]) + "\n"
+
+
 def load(loader, text):
     try:
         return loader(text.splitlines()), None
@@ -112,6 +139,11 @@ def window_entity(lexicon, window):
 @example(text="[outlet] k\n[entities]\nx.y : foo\n")
 @example(text="[outlet] k\n[entities]\nc : x.y\na-b\n")
 @example(text="[outlet] k\n[stopwords]\njujur\n[opinions]\njujur +1\nbaik +2\n")
+@example(text="[outlet] k\n[entities]\nb : si anu\n[stopwords]\nsi\n")  # stopword after its alias
+@example(text="[entities]\nk : andi\n[outlet] k\n")  # the outlet after an entity with its id
+@example(text="[outlet] k\n[entities]\nsi_anu : andi_ , _ baik\nk_ : _\n")  # \w but not isalnum()
+@example(text="[outlet] k\n[entities]\nc : x.y\nd : a : b\n")  # a dead alias, then a syntax error
+@example(text=grown_text())
 def test_load_matches_oracle(text):
     old, old_err = load(oracle.load_lexicon, text)
     new, new_err = load(load_lexicon, text)
