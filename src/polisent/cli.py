@@ -9,7 +9,7 @@ Commands::
     polisent kb export --kb <path> [--outlet <id>]
 
 Results go to stdout, diagnostics to stderr.  Exit status 0 on success,
-2 on usage or input errors, 1 if stdout is closed before all is written.
+2 on usage or input errors, 1 if stdout closes early or cannot encode the result.
 """
 
 from __future__ import annotations
@@ -44,28 +44,15 @@ def _four_places(num: int, den: int) -> str:
     return f"{num / den:.4f}"
 
 
-def _compact(decimal: str) -> str:
-    """A four-place decimal as score lines print it: "-0.2500" -> "-0.25", "-1.0000" -> "-1"."""
-    text = decimal.rstrip("0").rstrip(".")
-    return "0" if text == "-0" else text
-
-
 def _classify(num: int) -> str:
     """The class of a score whose numerator is ``num``; denominators are positive."""
     return "neutral" if not num else "positive" if num > 0 else "negative"
 
 
 def _pair_text(num: int, den: int) -> str:
-    """The end of a score or tendency line: -1/4 -> "-0.25 (negative)"."""
-    return f"{_compact(_four_places(num, den))} ({_classify(num)})"
-
-
-def _score_text(score) -> str:
-    """``_pair_text`` of a ``Fraction``, reading its numerator and denominator once.
-
-    On Python 3.11 each ``Fraction`` property read is a Python-level call.
-    """
-    return _pair_text(*score.as_integer_ratio())
+    """The end of a score or tendency line: -1/4 -> "-0.25 (negative)", -1/1 -> "-1 (negative)"."""
+    text = _four_places(num, den).rstrip("0").rstrip(".")
+    return f"{'0' if text == '-0' else text} ({_classify(num)})"
 
 
 def _nonempty(text: str) -> str:
@@ -101,7 +88,7 @@ def cmd_train(args: argparse.Namespace) -> None:
                     file=sys.stderr,
                 )
                 continue
-            lines += [f"{article.article_id} {whom} {_score_text(score)}"
+            lines += [f"{article.article_id} {whom} {_pair_text(*score.as_integer_ratio())}"
                       for whom, score in scored.scores.items()]
     # Read after the save: the lock is released sooner, and the per-pair tuples
     # stay out of the memory peak that dumps sets.
@@ -119,7 +106,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     if args.trace:
         print(trace(scored.records, article.outlet_id), end="")
     for whom, score in scored.scores.items():
-        print(f"{whom} {_score_text(score)}")
+        print(f"{whom} {_pair_text(*score.as_integer_ratio())}")
 
 
 _REPORT_FIELDS = ("outlet", "whom", "articles", "tendency", "decimal", "classification")
@@ -218,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except UnicodeEncodeError as exc:  # stdout cannot take the whole result, as when it is closed
+        print(f"error: stdout: {exc}", file=sys.stderr)
         return 1
     except (PolisentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -306,7 +306,7 @@ def loads(text: str) -> KnowledgeBase:
     if type(raw_history) is not list:
         raise CorruptDocument("history", "expected an array")
     history = ArticleScoreHistory()
-    # Every pair, also one whose empty score list set_entries drops.
+    # Every pair, also one whose empty score list is not stored.
     seen_pairs: set[tuple[str, str]] = set()
     for i, raw in enumerate(raw_history):
         if type(raw) is not dict or len(raw) != 3:
@@ -368,7 +368,8 @@ def loads(text: str) -> KnowledgeBase:
                     f"history[{i}].scores[{j}]", f"{num}/{den} is not in lowest terms"
                 )
             entries.append(entry)
-        history.set_entries(outlet, whom, entries)
+        if entries:
+            history._scores[(outlet, whom)] = entries
 
     if fingerprint is None and (processed or raw_cells or raw_history):
         raise CorruptDocument(

@@ -133,8 +133,7 @@ class ArticleScoreHistory:
 
     Each entry is ``(article_id, num, den)``: the score as two integers
     in lowest terms, ``den >= 1``.  ``record`` takes and ``scores()`` and
-    ``outlet_tendency`` give ``Fraction`` values.  A read by target alone
-    (``outlet=None``) scans every pair.
+    ``outlet_tendency`` give ``Fraction`` values.
     """
 
     def __init__(self):
@@ -151,23 +150,12 @@ class ArticleScoreHistory:
             entries = self._scores[(outlet, whom)] = []
         entries.append((article_id, num, den))
 
-    def set_entries(self, outlet: str, whom: str, entries: list[tuple[str, int, int]]) -> None:
-        """Store a pair's checked ``(article_id, num, den)`` list, in recording order.
+    def scores(self, whom: str) -> list[Fraction]:
+        """Scores toward ``whom`` from every outlet, by ascending outlet, in recording order."""
+        return [Fraction(num, den) for _, num, den in self._entries(whom)]
 
-        Takes the list over without copying or re-checking it; an empty
-        list stores nothing.
-        """
-        if entries:
-            self._scores[(outlet, whom)] = entries
-
-    def scores(self, whom: str, outlet: str | None = None) -> list[Fraction]:
-        """Scores toward ``whom``, grouped by ascending outlet, in recording order."""
-        return [Fraction(num, den) for _, num, den in self._entries(whom, outlet)]
-
-    def _entries(self, whom: str, outlet: str | None) -> list[tuple[str, int, int]]:
-        """The stored entries toward ``whom``; with an outlet, its pair's own list."""
-        if outlet is not None:
-            return self._scores.get((outlet, whom), [])
+    def _entries(self, whom: str) -> list[tuple[str, int, int]]:
+        """The stored entries toward ``whom`` from every outlet, as ``scores`` orders them."""
         return [entry for (_, w), entries in self.items() if w == whom for entry in entries]
 
     def items(self) -> Iterator[tuple[tuple[str, str], list[tuple[str, int, int]]]]:
@@ -222,16 +210,12 @@ def tendencies(
             if whom is None or target == whom]
 
 
-def outlet_tendency(
-    history: ArticleScoreHistory, whom: str, outlet: str | None = None
-) -> Score:
-    """Arithmetic mean of the recorded article scores for one target.
+def outlet_tendency(history: ArticleScoreHistory, whom: str) -> Score:
+    """Arithmetic mean of the recorded article scores toward ``whom``, pooled over every outlet.
 
-    Reads only the scores of the (outlet, whom) pair asked for; with
-    ``outlet=None`` it scans every pair for those toward ``whom``.  The
-    mean is ``tendencies``' integer mean as one ``Fraction``.
+    ``tendencies`` gives each pair's own mean, by the same integer sum.
     """
-    entries = history._entries(whom, outlet)
+    entries = history._entries(whom)
     if not entries:
         return NEUTRAL
     return Fraction(*_mean(entries))

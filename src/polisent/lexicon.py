@@ -72,15 +72,14 @@ class Token(NamedTuple):
 _new = tuple.__new__
 
 
-def _claim(table: dict[str, Token], surface: str, kind: str,
-           valence: int | None = None, entity_id: str | None = None) -> None:
+def _claim(table: dict[str, Token], surface: str, kind: str, valence: int | None = None) -> None:
     """Enter one surface's shared token in the table; a second declaration is an error."""
     previous = table.get(surface)
     if previous is not None:
         raise DuplicateSurface(
             f"{surface!r} already declared as {previous.kind.replace('_', ' ')}"
         )
-    table[surface] = _new(Token, (surface, kind, valence, entity_id))
+    table[surface] = _new(Token, (surface, kind, valence, None))
 
 
 def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords: set[str]) -> None:

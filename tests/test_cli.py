@@ -18,7 +18,7 @@ import pytest
 
 from conftest import FIXTURES, REPO
 from polisent import kb as kbmod
-from polisent.cli import _compact, _four_places, _score_text, main
+from polisent.cli import _pair_text, main
 from polisent.kb import KnowledgeBase
 from polisent.lexicon import load_lexicon_file
 from polisent.textpipe import load_corpus
@@ -441,9 +441,7 @@ def test_kb_export_stdout_two_outlets(capsys, tmp_path):
     (Fraction(-1, 4), "-0.25"), (Fraction(-1), "-1"), (Fraction(-1, 30000), "0"),
 ])
 def test_fmt_score(score, text):
-    num, den = score.as_integer_ratio()
-    assert _compact(_four_places(num, den)) == text
-    assert _score_text(score) == f"{text} (negative)"
+    assert _pair_text(*score.as_integer_ratio()) == f"{text} (negative)"
 
 
 def test_usage_error_exit_code(capsys):
@@ -1056,9 +1054,9 @@ def test_integer_literal_too_long(capsys, trained_kb_path, command, field):
     assert Path(trained_kb_path).read_text(encoding="utf-8") == bad
 
 
-def run_subprocess(*argv, timeout=10, **kwargs):
+def run_subprocess(*argv, timeout=10, environ=(), **kwargs):
     """Run the command line in a new process; a command that hangs fails the test."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **dict(environ))
     script = "import sys; from polisent.cli import main; sys.exit(main())"
     return subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=timeout, **kwargs)
@@ -1079,6 +1077,30 @@ def test_train_with_a_fifo_in_the_corpus_exits_2(tmp_path, trained_kb_path):
     (corpus / "x.txt").unlink()
     assert run_subprocess("train", "--corpus", corpus, "--lexicon", LEXICON,
                           "--kb", trained_kb_path).returncode == 0
+
+
+def test_output_that_stdout_cannot_encode_exits_1(capsys, tmp_path):
+    # A target that an ASCII stdout cannot write, or an --outlet byte that is not
+    # UTF-8 (it reads as a lone surrogate), ended in a UnicodeEncodeError traceback.
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("[outlet] k\n[opinions]\nbaik +1\n[entities]\nände\n", encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "1.txt").write_text("@article 1 @outlet k\nÄnde baik.\n", encoding="utf-8")
+    kb = tmp_path / "kb.json"
+    for argv, encoding, out in [
+        (("train", "--corpus", corpus, "--lexicon", lexicon, "--kb", kb), "ascii", ""),
+        (("report", "--kb", kb), "ascii", ""),
+        (("kb", "export", "--kb", kb, "--outlet", "\udcff"), "utf-8", "# matrix M (direct)\n"),
+    ]:
+        proc = run_subprocess(*argv, environ={"PYTHONIOENCODING": encoding})
+        assert (proc.returncode, proc.stdout) == (1, out)
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: stdout: ")
+        assert proc.stderr.endswith(errors[0] + "\n")
+    # train saved the KB before it wrote its lines.
+    assert run(capsys, "report", "--kb", kb)[1].endswith("ände\t1\t1\t1.0000\tpositive\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -159,8 +159,6 @@ def test_outlet_tendency_examples():
     history.record("k", "andi", "1", Fraction(-1))
     history.record("k", "andi", "2", Fraction(1, 2))
     assert outlet_tendency(history, "andi") == Fraction(-1, 4)
-    assert outlet_tendency(history, "andi", outlet="k") == Fraction(-1, 4)
-    assert outlet_tendency(history, "andi", outlet="m") is NEUTRAL
 
 
 def test_outlet_tendency_single_and_cancelling():
@@ -193,18 +191,6 @@ def test_history_record_keeps_fractions_and_converts_other_types():
     with pytest.raises(ValueError):
         history.record("k", "x", "4", 2)
     assert len(history_entries(history, "k", "x")) == 3
-
-
-def test_history_set_entries_matches_record():
-    recorded, stored = ArticleScoreHistory(), ArticleScoreHistory()
-    entries = [("1", 1, 2), ("2", -1, 1)]
-    for article_id, num, den in entries:
-        recorded.record("k", "x", article_id, Fraction(num, den))
-    stored.set_entries("k", "x", list(entries))
-    stored.set_entries("m", "x", [])
-    assert stored == recorded
-    assert stored.scores("x") == [Fraction(1, 2), Fraction(-1)]
-    assert list(stored.items()) == [(("k", "x"), entries)]
 
 
 def test_merge_identity_and_commutativity():

@@ -23,9 +23,7 @@ from hypothesis import strategies as st
 
 import ledger_oracle
 from polisent import kb as kbmod
-from polisent.cli import (
-    _classify, _compact, _four_places, _ratio, _score_text, main,
-)
+from polisent.cli import _classify, _four_places, _pair_text, _ratio, main
 from polisent.kb import KnowledgeBase
 from polisent.ledger import NEUTRAL, ArticleScoreHistory
 from support import random_kb
@@ -73,8 +71,9 @@ EDGES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 10**30), Fraction(-
 
 
 def check_score_lines(score) -> None:
-    # analyze's score line.
-    assert _score_text(score) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
+    # analyze's and train's score line.
+    text = _pair_text(*score.as_integer_ratio())
+    assert text == f"{reference_fmt_score(score)} ({reference_classify(score)})"
 
 
 @given(score=fractions)
@@ -107,9 +106,8 @@ def check_pair_forms(score) -> None:
     num, den = score.numerator, score.denominator
     assert _ratio(num, den) == str(score)
     assert _four_places(num, den) == reference_decimal(score)
-    assert _compact(_four_places(num, den)) == reference_fmt_score(score)
     assert _classify(num) == reference_classify(score)
-    assert _score_text(score) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
+    assert _pair_text(num, den) == f"{reference_fmt_score(score)} ({reference_classify(score)})"
 
 
 @given(score=fractions)
