@@ -63,7 +63,14 @@ def _nonempty(text: str) -> str:
 
 
 def _id_arg(text: str) -> str:
-    """An id given on the command line: lowercased, as every stored id is, and never empty."""
+    """An id given on the command line: lowercased, as every stored id is, never empty, and UTF-8.
+
+    An argument byte that is not UTF-8 reads as a lone surrogate, which no stored id holds.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError("must be valid UTF-8") from None
     return _nonempty(text).lower()
 
 
@@ -90,6 +97,9 @@ def cmd_train(args: argparse.Namespace) -> None:
                 continue
             lines += [f"{article.article_id} {whom} {_pair_text(*score.as_integer_ratio())}"
                       for whom, score in scored.scores.items()]
+        if sys.stdout.encoding:  # a StringIO has none and takes any text
+            # Fail before the save: a re-run would skip these articles and never print their lines.
+            "".join([*lines, *kb.history.targets()]).encode(sys.stdout.encoding, sys.stdout.errors)
     # Read after the save: the lock is released sooner, and the per-pair tuples
     # stay out of the memory peak that dumps sets.
     lines += [f"tendency {whom} {_pair_text(num, den)}"

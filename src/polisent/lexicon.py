@@ -72,14 +72,15 @@ class Token(NamedTuple):
 _new = tuple.__new__
 
 
-def _claim(table: dict[str, Token], surface: str, kind: str, valence: int | None = None) -> None:
-    """Enter one surface's shared token in the table; a second declaration is an error."""
+def _claim(table: dict[str, Token], surface: str, kind: str, valence: int | None = None) -> Token:
+    """Enter one surface's shared token in the table and return it; a redeclaration is an error."""
     previous = table.get(surface)
     if previous is not None:
         raise DuplicateSurface(
             f"{surface!r} already declared as {previous.kind.replace('_', ' ')}"
         )
-    table[surface] = _new(Token, (surface, kind, valence, None))
+    token = table[surface] = _new(Token, (surface, kind, valence, None))
+    return token
 
 
 def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords: set[str]) -> None:
@@ -103,46 +104,31 @@ class Lexicon:
 
     ``tokens`` maps each surface (a multi-word one by its words joined
     with one space) to its one shared :class:`Token`, stopwords and
-    punctuation surfaces included.  The table is the only store of
-    content: :func:`load_lexicon` fills and checks it, and the trie, the
-    text form and the counts are derived from it, each in one pass in
-    table order.  The trie puts a one-word surface under its root
-    without splitting it; the text form groups the tokens by section
-    and sorts each group and each entity's aliases, never the whole
-    table.  The fingerprint hashes that text with the built-in SHA-256.
+    punctuation surfaces included.  ``alias_trie`` is a token trie of the
+    entity surfaces: a node maps the next word to its child, and
+    ``ALIAS_MATCH`` to the token that replaces the words so far.
+    :func:`load_lexicon` builds both in its one pass over the file, with
+    the tokens of each word section and the surfaces of each entity, and
+    a ``Lexicon`` stores what it is given.  It derives only two things.
+    The fingerprint hashes the text form with the built-in SHA-256; that
+    text sorts copies of the short section lists, each entity's aliases
+    and the entity ids, never the whole table.
 
-    ``word_cache`` is derived too: :func:`~polisent.textpipe.cleanse`
+    ``word_cache`` is the other: :func:`~polisent.textpipe.cleanse`
     fills it with one entry per distinct word it meets (779 on the
     benchmark's ``ingest-text`` batch, seed 1; 1,406 on ``ingest-grown``),
     the token it keeps or ``None``.  The content never reads it.
     """
 
-    def __init__(self, outlet_id: str, tokens: dict[str, Token]):
+    def __init__(self, outlet_id: str, tokens: dict[str, Token], alias_trie: dict[str, dict],
+                 words: dict[str, list[Token]], entities: list[tuple[int, list[str]]]):
         self.outlet_id = outlet_id
         self.tokens = tokens
+        self.alias_trie = alias_trie
+        self._words = words  # each word section's tokens, by section name
+        self._entities = entities  # each entity's line and surfaces, id first
         self._fingerprint: str | None = None
         self.word_cache: dict[str, Token | None] = {}
-
-        # Token trie of the entity surfaces: a node maps the next word to
-        # its child, and ALIAS_MATCH to the token that replaces the words
-        # so far.  Each entity has one such token, a copy of its id's token
-        # in the table, never the one cleansing gives for the id, so a
-        # replaced window can be told from a kept word by identity.
-        trie: dict[str, dict] = {}
-        self.alias_trie = trie
-        replacements = {t[3]: _new(Token, t) for t in tokens.values() if t[0] == t[3]}
-        for token in tokens.values():
-            entity_id = token[3]
-            if entity_id is None:
-                continue
-            surface = token[0]
-            if " " in surface:
-                node = trie
-                for word in surface.split():
-                    node = node.setdefault(word, {})
-            else:  # most surfaces: one word, a child of the root
-                node = trie.setdefault(surface, {})
-            node[ALIAS_MATCH] = replacements[entity_id]
 
     def lookup(self, token: str) -> Token:
         """The table's token for one word, or a new ``plain`` one if it lacks the word.
@@ -153,48 +139,25 @@ class Lexicon:
         word = token.lower()
         return self.tokens.get(word) or _new(Token, (word, "plain", None, None))
 
-    def _sections(self) -> tuple[dict[str, list[Token]], list[str], dict[str, list[str]]]:
-        """One pass over the table, in table order.
-
-        Returns the tokens of each word kind, in section order, the entity
-        ids, and the aliases of each entity id that has any.  Sorting
-        these short lists, as :meth:`dumps` does, is cheaper than sorting
-        the whole table.
-        """
-        words: dict[str, list[Token]] = {k: [] for k in _KINDS.values() if k != "entity"}
-        ids: list[str] = []
-        aliases: dict[str, list[str]] = {}
-        for token in self.tokens.values():
-            entity_id = token[3]
-            if entity_id is None:
-                words[token[1]].append(token)
-            elif token[0] == entity_id:
-                ids.append(entity_id)
-            elif entity_id in aliases:
-                aliases[entity_id].append(token[0])
-            else:
-                aliases[entity_id] = [token[0]]
-        return words, ids, aliases
-
     def category_counts(self) -> dict[str, int]:
-        words, ids, aliases = self._sections()
+        entities = self._entities
         return {
-            **{f"{kind}s": len(found) for kind, found in words.items()},
-            "entities": len(ids),
-            "aliases": sum(map(len, aliases.values())),
+            **{f"{_KINDS[name]}s": len(found) for name, found in self._words.items()},
+            "entities": len(entities),
+            "aliases": sum(len(surfaces) for _, surfaces in entities) - len(entities),
         }
 
     def dumps(self) -> str:
         """Canonical text form; parseable by :func:`load_lexicon`."""
-        words, ids, aliases = self._sections()
         out = [f"[outlet] {self.outlet_id}"]
-        for name, found in zip(_KINDS, words.values()):  # the entities come last
-            found.sort()  # by surface: no two tokens share one
+        for name, found in self._words.items():  # the entities come last
             out += ["", f"[{name}]"]
-            out += [t[0] if t[2] is None else f"{t[0]} {t[2]:+d}" for t in found]
+            # By surface, which no two tokens share.
+            out += [t[0] if t[2] is None else f"{t[0]} {t[2]:+d}" for t in sorted(found)]
         out += ["", "[entities]"]
-        ids.sort()
-        out += [f"{c} : {' , '.join(sorted(aliases[c]))}" if c in aliases else c for c in ids]
+        # Each entity's surfaces sort by its id, which no two entities share.
+        out += [f"{c} : {' , '.join(sorted(aliases))}" if aliases else c
+                for c, *aliases in sorted(surfaces for _, surfaces in self._entities)]
         return "\n".join(out) + "\n"
 
     def fingerprint(self) -> str:
@@ -220,8 +183,11 @@ class Lexicon:
 def load_lexicon(lines: Iterable[str]) -> Lexicon:
     """Parse the lines of a lexicon file.  All errors carry the offending line number.
 
-    Surfaces are claimed into the lexicon's token table in file order,
-    so the first fault in the file is the one reported.  Once the
+    One pass builds everything the :class:`Lexicon` holds.  It claims
+    each surface into the token table in file order, so the first fault
+    in the file is the one reported.  As it claims an entity's surfaces
+    it adds them to the alias trie, and it keeps each word section's
+    tokens and each entity's surfaces for the text form.  Once the
     stopwords are all known, the entity rules are checked over all the
     entities at once; only if that finds a fault does
     :func:`_check_entity` go through them in file order to report the
@@ -233,6 +199,8 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
     entity_words: list[str] = []  # the words of every id and alias
     stopwords: set[str] = set()
     tokens: dict[str, Token] = {}
+    trie: dict[str, dict] = {}
+    sections: dict[str, list[Token]] = {name: [] for name in _KINDS if name != "entities"}
 
     line_no = 0  # after the loop: the last line, which a missing outlet reports, or 0 for none
     try:
@@ -249,20 +217,30 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                 if len(words) != 1:
                     raise MalformedLine("entity id must be a single token")
                 canonical = words[0]
-                surfaces = [canonical]
+                surfaces, spellings = [canonical], [words]
                 if tail and not tail.isspace():
                     for piece in tail.split(","):
                         alias_words = piece.split()
                         if not alias_words:
                             raise MalformedLine("empty alias")
                         surfaces.append(" ".join(alias_words))
-                        words += alias_words
-                for surface in surfaces:
+                        spellings.append(alias_words)
+                        entity_words += alias_words
+                # Every surface of the entity ends at one trie node holding one
+                # token, a copy of the id's token in the table, never the one
+                # cleansing gives for the id, so a replaced window can be told
+                # from a kept word by identity.
+                replacement = _new(Token, (canonical, "entity", None, canonical))
+                for surface, spelling in zip(surfaces, spellings):
                     token = _new(Token, (surface, "entity", None, canonical))
                     if tokens.setdefault(surface, token) is not token:
                         _claim(tokens, surface, "entity")  # raises: the surface is taken
+                    node = trie
+                    for word in spelling:
+                        node = node.setdefault(word, {})
+                    node[ALIAS_MATCH] = replacement
                 entities.append((line_no, surfaces))
-                entity_words += words
+                entity_words.append(canonical)
             elif line[0] == "[":
                 if lowered.startswith("[outlet]"):
                     value = lowered[len("[outlet]"):].strip()
@@ -293,12 +271,12 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
                     raise InvalidValence(
                         f"opinion {surface!r} has valence {valence}, expected +1 or -1"
                     )
-                _claim(tokens, surface, "opinion", valence)
+                sections["opinions"].append(_claim(tokens, surface, "opinion", valence))
             else:  # stopwords, negations, reporting
                 parts = lowered.split()
                 if len(parts) != 1:
                     raise MalformedLine("expected one token per line")
-                _claim(tokens, parts[0], _KINDS[section])
+                sections[section].append(_claim(tokens, parts[0], _KINDS[section]))
                 if section == "stopwords":
                     stopwords.add(parts[0])
 
@@ -313,7 +291,7 @@ def load_lexicon(lines: Iterable[str]) -> Lexicon:
     except LexiconError as exc:
         raise type(exc)(str(exc), line=line_no or None) from None
 
-    return Lexicon(outlet, tokens)
+    return Lexicon(outlet, tokens, trie, sections, entities)
 
 
 def load_lexicon_file(path: str | Path) -> Lexicon:

@@ -1079,28 +1079,50 @@ def test_train_with_a_fifo_in_the_corpus_exits_2(tmp_path, trained_kb_path):
                           "--kb", trained_kb_path).returncode == 0
 
 
-def test_output_that_stdout_cannot_encode_exits_1(capsys, tmp_path):
-    # A target that an ASCII stdout cannot write, or an --outlet byte that is not
-    # UTF-8 (it reads as a lone surrogate), ended in a UnicodeEncodeError traceback.
+def test_output_that_stdout_cannot_encode_exits_1(tmp_path):
+    # A target that an ASCII stdout cannot write ended in a UnicodeEncodeError
+    # traceback, and train failed only after it had saved the KB, so a re-run
+    # skipped the article and its score lines were lost.
     lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text("[outlet] k\n[opinions]\nbaik +1\n[entities]\nände\n", encoding="utf-8")
-    corpus = tmp_path / "corpus"
+    lexicon.write_text("[outlet] k\n[opinions]\nbaik +1\n[entities]\nände\nandi\n",
+                       encoding="utf-8")
+    corpus, later = tmp_path / "corpus", tmp_path / "later"
     corpus.mkdir()
+    later.mkdir()
     (corpus / "1.txt").write_text("@article 1 @outlet k\nÄnde baik.\n", encoding="utf-8")
+    (later / "2.txt").write_text("@article 2 @outlet k\nAndi baik.\n", encoding="utf-8")
     kb = tmp_path / "kb.json"
-    for argv, encoding, out in [
-        (("train", "--corpus", corpus, "--lexicon", lexicon, "--kb", kb), "ascii", ""),
-        (("report", "--kb", kb), "ascii", ""),
-        (("kb", "export", "--kb", kb, "--outlet", "\udcff"), "utf-8", "# matrix M (direct)\n"),
-    ]:
-        proc = run_subprocess(*argv, environ={"PYTHONIOENCODING": encoding})
-        assert (proc.returncode, proc.stdout) == (1, out)
+    train = ("train", "--lexicon", lexicon, "--kb", kb, "--corpus")
+
+    def fails(*argv):
+        proc = run_subprocess(*argv, environ={"PYTHONIOENCODING": "ascii"})
+        assert (proc.returncode, proc.stdout) == (1, "")
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith("error: stdout: ")
         assert proc.stderr.endswith(errors[0] + "\n")
-    # train saved the KB before it wrote its lines.
-    assert run(capsys, "report", "--kb", kb)[1].endswith("ände\t1\t1\t1.0000\tpositive\n")
+
+    fails(*train, corpus)
+    assert not kb.exists()  # checked before the save
+    proc = run_subprocess(*train, corpus, environ={"PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stdout) == (
+        0, "1 ände 1 (positive)\ntendency ände 1 (positive)\n")
+    saved = kb.read_bytes()
+    fails("report", "--kb", kb)
+    fails(*train, later)  # its score line is ASCII, but a tendency line names ände
+    assert kb.read_bytes() == saved
+
+
+@pytest.mark.parametrize("argv", [("kb", "export", "--outlet"), ("report", "--entity")],
+                         ids=["kb-export", "report"])
+def test_id_that_is_not_utf8_exits_2(trained_kb_path, argv):
+    # An argument byte that is not UTF-8 reads as a lone surrogate. kb export read
+    # the whole KB, printed a warning and a grid header, then exited 1.
+    proc = run_subprocess(*argv, "\udcff", "--kb", trained_kb_path,
+                          environ={"PYTHONIOENCODING": "utf-8"})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(f"error: argument {argv[-1]}: must be valid UTF-8\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
 
 from polisent.errors import DuplicateSurface, InvalidValence, LexiconError, MalformedLine
-from polisent.lexicon import load_lexicon
+from polisent.lexicon import ALIAS_MATCH, load_lexicon
 from polisent.textpipe import cleanse, resolve, tokenize
+from support import MINI_LEXICON
+from test_lexicon_differential import grown_text, lexicon_texts
 
 
 def loads(text):
@@ -178,3 +181,37 @@ def test_fingerprint_changes_with_content():
     b = loads("[outlet] k\n[stopwords]\ndua\n")
     assert a != b
     assert a.fingerprint() != b.fingerprint()
+
+
+def assert_one_replacement_per_entity(lexicon):
+    """Every surface of an entity, one-word or multi-word, ends at a trie node holding
+    the entity's one replacement token: equal to the id's table token, not that object.
+
+    ``resolve`` tells a replaced window from a kept word by that identity alone.
+    """
+    replacements = {}
+    for surface, token in lexicon.tokens.items():
+        if token.entity_id is None:
+            continue
+        node = lexicon.alias_trie
+        for word in surface.split():
+            node = node[word]
+        replacement = replacements.setdefault(token.entity_id, node[ALIAS_MATCH])
+        assert node[ALIAS_MATCH] is replacement, surface
+        id_token = lexicon.tokens[token.entity_id]
+        assert replacement == id_token and replacement is not id_token, surface
+
+
+def test_trie_holds_one_replacement_per_entity_of_the_mini_lexicon():
+    assert_one_replacement_per_entity(MINI_LEXICON)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=lexicon_texts())
+@example(text=grown_text())
+def test_trie_holds_one_replacement_per_entity(text):
+    try:
+        lexicon = loads(text)
+    except LexiconError:
+        return  # a rejected text builds no trie
+    assert_one_replacement_per_entity(lexicon)
