@@ -83,7 +83,7 @@ def cmd_lexicon_validate(args: argparse.Namespace) -> None:
 
 def cmd_train(args: argparse.Namespace) -> None:
     lexicon = load_lexicon_file(args.lexicon)
-    lines = []  # printed once the KB is saved, so a failed save prints no result
+    lines = []
     with kbmod.update(args.kb) as kb:
         kbmod.check_lexicon(kb, lexicon)
         for article in load_corpus(args.corpus):
@@ -97,14 +97,14 @@ def cmd_train(args: argparse.Namespace) -> None:
                 continue
             lines += [f"{article.article_id} {whom} {_pair_text(*score.as_integer_ratio())}"
                       for whom, score in scored.scores.items()]
+        lines += [f"tendency {whom} {_pair_text(num, den)}"
+                  for _, whom, _, num, den in sorted(tendencies(kb.history))]
+        text = "".join(f"{line}\n" for line in lines)
+        del lines  # the text alone stays in memory through the save
         if sys.stdout.encoding:  # a StringIO has none and takes any text
-            # Fail before the save: a re-run would skip these articles and never print their lines.
-            "".join([*lines, *kb.history.targets()]).encode(sys.stdout.encoding, sys.stdout.errors)
-    # Read after the save: the lock is released sooner, and the per-pair tuples
-    # stay out of the memory peak that dumps sets.
-    lines += [f"tendency {whom} {_pair_text(num, den)}"
-              for _, whom, _, num, den in sorted(tendencies(kb.history))]
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+            # Check the exact text before the save: a re-run would skip these articles.
+            text.encode(sys.stdout.encoding, sys.stdout.errors)
+    sys.stdout.write(text)  # only once the KB is saved, so a failed save prints no result
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
@@ -161,20 +161,20 @@ def build_parser() -> argparse.ArgumentParser:
     lexicon = sub.add_parser("lexicon", help="lexicon utilities")
     lexicon_sub = lexicon.add_subparsers(dest="subcommand", required=True)
     validate = lexicon_sub.add_parser("validate", help="check a lexicon file")
-    validate.add_argument("path")
+    validate.add_argument("path", type=_nonempty)
     validate.set_defaults(func=cmd_lexicon_validate)
 
     train = sub.add_parser("train", help="ingest a corpus into a knowledge base")
     train.add_argument("--corpus", required=True, type=_nonempty,
                        help="directory of article files")
-    train.add_argument("--lexicon", required=True)
+    train.add_argument("--lexicon", required=True, type=_nonempty)
     train.add_argument("--kb", required=True, type=_nonempty,
                        help="knowledge base file (created if absent)")
     train.set_defaults(func=cmd_train)
 
     analyze = sub.add_parser("analyze", help="score one article without ingesting it")
-    analyze.add_argument("article")
-    analyze.add_argument("--lexicon", required=True)
+    analyze.add_argument("article", type=_nonempty)
+    analyze.add_argument("--lexicon", required=True, type=_nonempty)
     analyze.add_argument("--kb", required=True, type=_nonempty)
     analyze.add_argument("--trace", action="store_true",
                          help="print the extracted statement table")

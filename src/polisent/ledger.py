@@ -167,9 +167,6 @@ class ArticleScoreHistory:
     def outlets(self) -> set[str]:
         return {outlet for outlet, _ in self._scores}
 
-    def targets(self) -> set[str]:
-        return {whom for _, whom in self._scores}
-
     def __len__(self) -> int:
         return len(self._scores)
 

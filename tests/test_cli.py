@@ -639,22 +639,27 @@ def test_train_through_a_symlink_updates_its_target(capsys, tmp_path, trained_kb
     assert link.is_symlink() and target.read_bytes() == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ("train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", ""),
-    ("train", "--corpus", "", "--lexicon", LEXICON, "--kb", "kb.json"),
-    ("analyze", str(FIXTURES / "corpus" / "1.txt"), "--lexicon", LEXICON, "--kb", ""),
-    ("report", "--kb", ""),
-    ("kb", "export", "--kb", ""),
-], ids=["train-kb", "train-corpus", "analyze-kb", "report-kb", "export-kb"])
-def test_empty_path_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("argv, name", [
+    (("train", "--corpus", CORPUS, "--lexicon", LEXICON, "--kb", ""), "--kb"),
+    (("train", "--corpus", "", "--lexicon", LEXICON, "--kb", "kb.json"), "--corpus"),
+    (("train", "--corpus", CORPUS, "--lexicon", "", "--kb", "kb.json"), "--lexicon"),
+    (("analyze", str(FIXTURES / "corpus" / "1.txt"), "--lexicon", LEXICON, "--kb", ""), "--kb"),
+    (("analyze", "", "--lexicon", LEXICON, "--kb", "kb.json"), "article"),
+    (("analyze", "1.txt", "--lexicon", "", "--kb", "kb.json"), "--lexicon"),
+    (("lexicon", "validate", ""), "path"),
+    (("report", "--kb", ""), "--kb"),
+    (("kb", "export", "--kb", ""), "--kb"),
+], ids=["train-kb", "train-corpus", "train-lexicon", "analyze-kb", "analyze-article",
+        "analyze-lexicon", "validate-path", "report-kb", "export-kb"])
+def test_empty_path_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, name):
     # An empty --kb made train leave "..lock" in the working directory, and an
-    # empty --corpus trained every *.txt there.
+    # empty --corpus trained every *.txt there. An empty article read the
+    # working directory and named '.', and an empty lexicon read ''.
     monkeypatch.chdir(tmp_path)
     shutil.copy(FIXTURES / "corpus" / "1.txt", "1.txt")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    option = argv[argv.index("") - 1]
-    assert err.endswith(f"error: argument {option}: must not be empty\n")
+    assert err.endswith(f"error: argument {name}: must not be empty\n")
     assert [p.name for p in tmp_path.iterdir()] == ["1.txt"]
 
 

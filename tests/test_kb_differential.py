@@ -279,6 +279,8 @@ def pair(*scores):
 @example(text=document(processed=[], fingerprint=None, history=[pair()]))
 @example(text=document(history=[pair({"article_id": "a", "num": 2, "den": 4})]))
 @example(text=document(history=[pair({"article_id": "a", "num": None, "den": "1"})]))
+@example(text=document(history=[pair({"article_id": "a", "num": 1, "den": "1"})]))
+@example(text=document(history=[pair({"article_id": "a", "num": 1, "den": True})]))
 @example(text=document(cells=[{"who": "k", "whom": "x", "p": 1, "s": 0}]))
 @example(text=document(cells=[{"who": "k", "whom": "x", "p": 1, "t": 1}]))
 @example(text=document(history=[{"outlet": "k", "who": "x", "scores": []}]))
