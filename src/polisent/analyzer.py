@@ -63,8 +63,6 @@ def analyze_article(
     for sentence in textpipe.process(article.body, lexicon):
         tokens = sentence.tokens
         kinds = [token.kind for token in tokens]
-        if "entity" not in kinds and "opinion" not in kinds:
-            continue  # it can neither move the target nor emit a statement
         current_who = outlet_id
         negation_count = kinds.count("negation")
         for i, kind in enumerate(kinds):

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import kb as kbmod
 from .analyzer import analyze_article, trace  # noqa: F401  bench/spans.py wraps cli.analyze_article
-from .errors import DuplicateArticle, PolisentError
+from .errors import DuplicateArticle, PolisentError, unencodable
 from .ledger import (
     article_score,  # noqa: F401  bench/spans.py wraps cli.article_score
     format_matrix,
@@ -67,10 +67,8 @@ def _id_arg(text: str) -> str:
 
     An argument byte that is not UTF-8 reads as a lone surrogate, which no stored id holds.
     """
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise argparse.ArgumentTypeError("must be valid UTF-8") from None
+    if unencodable(text):
+        raise argparse.ArgumentTypeError("must be valid UTF-8")
     return _nonempty(text).lower()
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one reader of UTF-8 files."""
+"""Exception types shared across the package, the one reader of UTF-8 files
+(``read_utf8``) and the one test of a string UTF-8 cannot encode (``unencodable``)."""
 
 from __future__ import annotations
 
@@ -99,3 +100,12 @@ def read_utf8(
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def unencodable(value: str) -> bool:
+    """Whether UTF-8 cannot encode ``value``, as when it holds a lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False

@@ -33,7 +33,6 @@ such as ``"\\ud800"`` is a fault.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import stat
@@ -53,6 +52,7 @@ from .errors import (
     PolisentError,
     VersionMismatch,
     read_utf8,
+    unencodable,
 )
 from .ledger import (
     ArticleScoreHistory,
@@ -196,15 +196,6 @@ def _array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
-def _unencodable(value: str) -> bool:
-    """Whether UTF-8 cannot encode ``value``, as when it holds a lone surrogate."""
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return True
-    return False
-
-
 def _str_fault(value: object, path: str) -> CorruptDocument:
     """The error for a ``value`` that is not a non-empty string UTF-8 can encode."""
     if type(value) is str and value:
@@ -259,7 +250,7 @@ def loads(text: str) -> KnowledgeBase:
 
     fingerprint = document["lexicon_fingerprint"]
     if fingerprint is not None and (
-        type(fingerprint) is not str or not fingerprint or strict and _unencodable(fingerprint)
+        type(fingerprint) is not str or not fingerprint or strict and unencodable(fingerprint)
     ):
         raise _str_fault(fingerprint, "lexicon_fingerprint")
 
@@ -268,7 +259,7 @@ def loads(text: str) -> KnowledgeBase:
         raise CorruptDocument("processed", "expected an array")
     processed: set[str] = set()
     for i, article_id in enumerate(raw_processed):
-        if type(article_id) is not str or not article_id or strict and _unencodable(article_id):
+        if type(article_id) is not str or not article_id or strict and unencodable(article_id):
             raise _str_fault(article_id, f"processed[{i}]")
         if article_id in processed:
             raise CorruptDocument(f"processed[{i}]", f"duplicate article id {article_id!r}")
@@ -286,9 +277,9 @@ def loads(text: str) -> KnowledgeBase:
             who, whom, p, s = _cell_fields(raw)
         except KeyError:  # as many keys as expected, so one of them is unknown
             raise _fields_fault(raw, f"cells[{i}]", _CELL_KEYS) from None
-        if type(who) is not str or not who or strict and _unencodable(who):
+        if type(who) is not str or not who or strict and unencodable(who):
             raise _str_fault(who, f"cells[{i}].who")
-        if type(whom) is not str or not whom or strict and _unencodable(whom):
+        if type(whom) is not str or not whom or strict and unencodable(whom):
             raise _str_fault(whom, f"cells[{i}].whom")
         if type(p) is not int:
             raise _int_fault(p, f"cells[{i}].p")
@@ -315,9 +306,9 @@ def loads(text: str) -> KnowledgeBase:
             outlet, whom, raw_scores = _pair_fields(raw)
         except KeyError:
             raise _fields_fault(raw, f"history[{i}]", _PAIR_KEYS) from None
-        if type(outlet) is not str or not outlet or strict and _unencodable(outlet):
+        if type(outlet) is not str or not outlet or strict and unencodable(outlet):
             raise _str_fault(outlet, f"history[{i}].outlet")
-        if type(whom) is not str or not whom or strict and _unencodable(whom):
+        if type(whom) is not str or not whom or strict and unencodable(whom):
             raise _str_fault(whom, f"history[{i}].whom")
         if (outlet, whom) in seen_pairs:
             raise CorruptDocument(
@@ -337,7 +328,7 @@ def loads(text: str) -> KnowledgeBase:
                 raise _fields_fault(raw_score, f"history[{i}].scores[{j}]", _SCORE_KEYS) from None
             if (
                 type(article_id) is not str or not article_id
-                or strict and _unencodable(article_id)
+                or strict and unencodable(article_id)
             ):
                 raise _str_fault(article_id, f"history[{i}].scores[{j}].article_id")
             if article_id not in processed:
@@ -403,12 +394,12 @@ def update(path: str | Path) -> Iterator[KnowledgeBase]:
     an update holding the old file and one that created a new one would
     both hold "the" lock.  A symlink at ``path`` is resolved once: the
     lock and the save act on its target, and messages name ``path``.
+    A path that is there but not a regular file raises what ``load``
+    raises for it in every command, before the lock file is made.
     """
     import fcntl  # POSIX only, so imported here: the other commands run anywhere
-    if os.path.isdir(path):  # the load would fail anyway; fail before leaving a lock file
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or a device: likewise
-        raise CorruptDocument("document", f"{path}: not a regular file")
+    if os.path.exists(path) and not os.path.isfile(path):
+        load(path)
     target = os.path.realpath(path) if os.path.islink(path) else path
     lock = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.lock")
     try:

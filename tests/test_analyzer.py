@@ -71,6 +71,10 @@ def test_target_persists_across_sentences():
     records = analyze_article(art("e1 is alpha. the bad omega."), MINI_LEXICON)
     assert triples(records) == [("out", "e1", -1)]
     assert records[0].sentence_index == 2
+    # A sentence with no entity and no opinion keeps the target, whatever else it holds.
+    records = analyze_article(art("e2 is bad. alpha not said. good."), MINI_LEXICON)
+    assert triples(records) == [("out", "e2", -1), ("out", "e2", 1)]
+    assert records[1].sentence_index == 3
 
 
 def test_speaker_resets_each_sentence():

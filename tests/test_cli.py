@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import signal
+import socket
 import stat
 import subprocess
 import sys
@@ -1143,6 +1144,23 @@ def test_fifo_kb_exits_2(tmp_path, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: document: {fifo}: not a regular file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.json"]  # no lock file
+
+
+@pytest.mark.parametrize("argv", [
+    ("report",), ("kb", "export"),
+    ("analyze", CORPUS + "/1.txt", "--lexicon", LEXICON),
+    ("train", "--corpus", CORPUS, "--lexicon", LEXICON),
+], ids=["report", "kb-export", "analyze", "train"])
+def test_socket_kb_gives_one_message(capsys, monkeypatch, tmp_path, argv):
+    # A socket cannot be opened, so every command reports the OS error; train
+    # printed a message of its own. A relative name keeps the socket path short.
+    monkeypatch.chdir(tmp_path)
+    with socket.socket(socket.AF_UNIX) as server:
+        server.bind("kb.json")
+        code, out, err = run(capsys, *argv, "--kb", "kb.json")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno.ENXIO}] {os.strerror(errno.ENXIO)}: 'kb.json'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]  # no lock file
 
 
 def test_fifo_article_exits_2(tmp_path, trained_kb_path):

@@ -290,6 +290,8 @@ def pair(*scores):
 @example(text=document(cells=[{"who": "k", "whom": "\ud83d\ude00", "p": 1, "s": 1}])
          .replace("\\ud83d\\ude00", "\ud83d\ude00"))
 @example(text=document(history=[pair({"article_id": "\udc00", "num": 1, "den": 1})]))
+@example(text=document().replace('"cells": []', '"cells": {}'))
+@example(text=document().replace('"history": []', '"history": null'))
 def test_mutated_documents_match_oracle(text):
     new, new_err = outcome(kbmod.loads, text)
     old, old_err = outcome(oracle.loads, text)
