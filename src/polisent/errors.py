@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 from pathlib import Path
@@ -67,8 +68,8 @@ class CorruptDocument(PolisentError):
         super().__init__(f"{path}: {message}")
 
 
-def _open_nonblocking(path: str | Path, flags: int) -> int:
-    return os.open(path, flags | os.O_NONBLOCK)
+# The read size where ``st_size`` gives none, as for a pipe: a pipe buffer's worth on Linux.
+_CHUNK = 1 << 16
 
 
 def read_utf8(
@@ -76,23 +77,34 @@ def read_utf8(
 ) -> str:
     """The text of a UTF-8 file; ``error`` builds what a file that is not UTF-8 raises.
 
-    One unbuffered binary read and one decode.  ``\\r\\n`` and a lone
-    ``\\r`` read as ``\\n``, as in text mode's universal newlines, and a
-    byte-order mark is kept as ``\\ufeff``.
+    Plain ``os`` calls and one decode: an open, an ``fstat``, reads sized
+    from ``st_size`` until one returns nothing (two for a regular file)
+    and a close, with no file object.  ``\\r\\n`` and a lone ``\\r`` read
+    as ``\\n``, as in text mode's universal newlines, and a byte-order
+    mark is kept as ``\\ufeff``.
 
     The file is opened with ``O_NONBLOCK``, so that a FIFO without a
-    writer cannot block the open, and must be a regular file: anything
-    else, such as a FIFO or a device like ``/dev/zero``, raises ``error``
-    before a byte is read.  With ``pipes`` a pipe or FIFO is read too,
-    to its end; one without a writer reads as empty.
+    writer cannot block the open, and must be a regular file.  A
+    directory raises the ``IsADirectoryError`` that ``open`` gives;
+    anything else, such as a FIFO or a device like ``/dev/zero``, raises
+    ``error`` before a byte is read.  With ``pipes`` a pipe or FIFO is
+    read too, to its end; one without a writer reads as empty.
     """
-    with open(path, "rb", buffering=0, opener=_open_nonblocking) as handle:
-        mode = os.fstat(handle.fileno()).st_mode
-        if not stat.S_ISREG(mode):
-            if not (pipes and stat.S_ISFIFO(mode)):
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            if stat.S_ISDIR(info.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            if not (pipes and stat.S_ISFIFO(info.st_mode)):
                 raise error(f"{path}: not a regular file")
-            os.set_blocking(handle.fileno(), True)
-        data = handle.read()
+            os.set_blocking(fd, True)
+        chunks, size = [], info.st_size or _CHUNK
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -28,6 +28,7 @@ it, and its valence or entity id; a word the lexicon lacks is ``plain``.
 from __future__ import annotations
 
 import re
+import weakref
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -99,6 +100,31 @@ def _check_entity(canonical: str, aliases: list[str], outlet_id: str, stopwords:
             raise LexiconError(f"alias {alias!r} contains a stopword")
 
 
+class WordCache(dict):
+    """Each word met so far and what cleansing keeps of it: its token, or ``None``.
+
+    The one owner of the keep rule.  A word it lacks is classified once,
+    by ``Lexicon.lookup``, and kept if it has a word character and is not
+    a stopword; entries stay in the order the words were first met.  The
+    cache holds its lexicon weakly, so the two form no reference cycle; a
+    copy or an unpickled lexicon gets a cache of its own.
+    """
+
+    __slots__ = ("_lexicon",)
+
+    def __init__(self, lexicon: Lexicon):
+        self._lexicon = weakref.ref(lexicon)
+
+    def __missing__(self, word: str) -> Token | None:
+        token = self._lexicon().lookup(word)
+        is_word = word.isalnum() or WORD_RE.search(word)  # isalnum() settles most words
+        kept = self[word] = token if is_word and token.kind != "stopword" else None
+        return kept
+
+    def __reduce__(self):
+        return WordCache, (self._lexicon(),), None, None, iter(self.items())
+
+
 class Lexicon:
     """Immutable word database: a surface-to-token table and an alias trie.
 
@@ -114,10 +140,11 @@ class Lexicon:
     text sorts copies of the short section lists, each entity's aliases
     and the entity ids, never the whole table.
 
-    ``word_cache`` is the other: :func:`~polisent.textpipe.cleanse`
-    fills it with one entry per distinct word it meets (779 on the
-    benchmark's ``ingest-text`` batch, seed 1; 1,406 on ``ingest-grown``),
-    the token it keeps or ``None``.  The content never reads it.
+    ``word_cache`` is the other, a :class:`WordCache` that owns the keep
+    rule: :func:`~polisent.textpipe.cleanse` reads each word from it, and
+    it classifies a word the first time it is asked for it (779 distinct
+    words on the benchmark's ``ingest-text`` batch, seed 1; 1,406 on
+    ``ingest-grown``).  The content never reads it.
     """
 
     def __init__(self, outlet_id: str, tokens: dict[str, Token], alias_trie: dict[str, dict],
@@ -128,7 +155,7 @@ class Lexicon:
         self._words = words  # each word section's tokens, by section name
         self._entities = entities  # each entity's line and surfaces, id first
         self._fingerprint: str | None = None
-        self.word_cache: dict[str, Token | None] = {}
+        self.word_cache = WordCache(self)
 
     def lookup(self, token: str) -> Token:
         """The table's token for one word, or a new ``plain`` one if it lacks the word.

@@ -14,10 +14,10 @@ then scanned with ASCII character classes (its word characters are
 ``[a-z0-9_]``), any other token by token.  Cleansing drops punctuation
 and stopwords and keeps every other word as a :class:`Token` (the word,
 its kind, and its valence or entity id), read from the lexicon's word
-cache.  The cache classifies each distinct word once per lexicon, with
-one read of the token table, which holds the shared token of every
-declared surface, stopwords and punctuation included; an unknown word
-gets one new ``plain`` token.
+cache, which owns that keep rule.  The cache classifies a word the first
+time it is asked for it, with one read of the token table, which holds
+the shared token of every declared surface, stopwords and punctuation
+included; an unknown word gets one new ``plain`` token.
 Resolution walks the lexicon's token trie of entity surfaces and
 replaces each alias (longest match wins) with one token holding its
 canonical entity id.
@@ -100,20 +100,9 @@ def cleanse(sentence: Sentence, lexicon: Lexicon) -> Sentence:
     """Drop stopwords and punctuation tokens, keeping order.
 
     Expects a tokenized sentence.  Each word is read from the lexicon's
-    word cache.  A word it lacks is classified once, by ``Lexicon.lookup``,
-    and this is the one place that decides what is kept: a word with a
-    word character that is not a stopword.  A dropped word is cached as ``None``.
+    word cache, which classifies a word it lacks and decides what is kept.
     """
-    words, cache = sentence.tokens, lexicon.word_cache
-    try:
-        kept = tuple(filter(None, map(cache.__getitem__, words)))
-    except KeyError:
-        for word in words:
-            if word not in cache:
-                token = lexicon.lookup(word)
-                is_word = word.isalnum() or WORD_RE.search(word)  # isalnum() settles most words
-                cache[word] = token if is_word and token.kind != "stopword" else None
-        kept = tuple(filter(None, map(cache.__getitem__, words)))
+    kept = tuple(filter(None, map(lexicon.word_cache.__getitem__, sentence.tokens)))
     return _new(Sentence, (sentence.index, kept))
 
 

@@ -81,11 +81,12 @@ def deny_listing(monkeypatch, directory) -> None:
 
 
 def deny_reading(monkeypatch, path) -> None:
-    """Make ``os.stat`` and ``open`` of ``path`` raise as a directory without search rights does.
+    """Make ``os.stat``, ``os.open`` and ``open`` of ``path`` raise as a directory
+    without search rights does.
 
     Unlike a real mode, this holds for a superuser too.
     """
-    stat, open_ = os.stat, builtins.open
+    stat, os_open, open_ = os.stat, os.open, builtins.open
 
     def denying(original):
         def denied(file, *args, **kwargs):
@@ -95,6 +96,7 @@ def deny_reading(monkeypatch, path) -> None:
         return denied
 
     monkeypatch.setattr(os, "stat", denying(stat))
+    monkeypatch.setattr(os, "open", denying(os_open))
     monkeypatch.setattr(builtins, "open", denying(open_))
 
 

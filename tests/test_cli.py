@@ -1190,6 +1190,9 @@ def test_lexicon_may_be_a_pipe_but_not_a_device(capsys, tmp_path):
         proc = run_subprocess("lexicon", "validate", "/dev/stdin", stdin=lexicon)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run(capsys, "lexicon", "validate", LEXICON)[1]
+    # Read to its end past the first read too: the declarations follow 200 KB of comments.
+    padded = "# padding\n" * 20000 + Path(LEXICON).read_text(encoding="utf-8")
+    assert run_subprocess("lexicon", "validate", "/dev/stdin", input=padded).stdout == proc.stdout
     # A FIFO without a writer reads as empty, which is no lexicon.
     fifo = tmp_path / "lexicon.txt"
     os.mkfifo(fifo)

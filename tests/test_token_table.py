@@ -67,7 +67,7 @@ def test_cleanse_agrees_with_lookup(text):
 
 
 def test_every_table_token_is_a_plain_token():
-    # Stopwords and punctuation surfaces too: cleanse alone decides what is dropped.
+    # Stopwords and punctuation surfaces too: the word cache alone decides what is dropped.
     assert all(type(token) is Token for token in LEXICON.tokens.values())
     assert {",", "!", "x.y"} <= LEXICON.tokens.keys()
 

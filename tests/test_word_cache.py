@@ -6,7 +6,11 @@ see it, and a warm lexicon must give every result a fresh one gives:
 the processed sentences, the ``train`` stdout and the KB bytes.
 """
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 from polisent import cli
 from polisent.lexicon import load_lexicon
@@ -37,6 +41,30 @@ def test_cleansing_leaves_the_content_unchanged():
     assert repr(lexicon) == shown
     assert lexicon.fingerprint() == fresh().fingerprint()
     assert lexicon == fresh()
+
+
+def test_filled_cache_survives_pickle_and_deepcopy():
+    # The cache holds its lexicon weakly: a copy must get a cache that classifies
+    # through the copy, and a dropped copy must be freed at once, with no cycle.
+    new_words = tokenize("Omega the GOOD e1, never x_2 -- İstanbul!", 1)
+    for duplicate in (lambda lexicon: pickle.loads(pickle.dumps(lexicon)), copy.deepcopy):
+        lexicon = fresh()
+        cleanse(tokenize(MIXED, 1), lexicon)
+        twin = duplicate(lexicon)
+        assert list(twin.word_cache.items()) == list(lexicon.word_cache.items())
+        assert twin == lexicon
+        del lexicon  # the twin must not reach its words through the original
+        assert cleanse(new_words, twin) == cleanse(new_words, fresh())
+        assert "omega" in twin.word_cache
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gone = weakref.ref(twin)
+            del twin
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def corpus(seed: int, n: int = 30):
