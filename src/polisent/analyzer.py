@@ -17,14 +17,12 @@ Role rules, per sentence of the processed token stream:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import textpipe
+from .ledger import PolarityLedger
 from .lexicon import Lexicon
 from .textpipe import RawArticle
-
-if TYPE_CHECKING:
-    from .ledger import PolarityLedger
 
 # Maximum token distance between an entity and a following reporting
 # verb for the entity to count as the speaker.
@@ -49,7 +47,7 @@ _new = tuple.__new__
 def analyze_article(
     article: RawArticle,
     lexicon: Lexicon,
-    prior: "PolarityLedger | None" = None,
+    prior: PolarityLedger | None = None,
 ) -> list[StatementRecord]:
     """Extract all statements from one article, in reading order.
 

@@ -947,6 +947,13 @@ def test_main_leaves_no_cyclic_garbage_and_no_parser_state(capsys, tmp_path):
     whoms = [[line.split("\t")[0] for line in out.splitlines()[1:]] for out in outs[2:4]]
     assert whoms == [["andi"], ["andi", "deddy", "kpk", "kpk"]]
     assert [out.count("# matrix") for out in outs[4:6]] == [4, 2]
+    # A memo lives as long as its command: one held by a module would grow in a
+    # long-lived caller and serve the next call warm hits.
+    filled = [f"{name}.{attr}" for name, module in list(sys.modules.items())
+              if name == "polisent" or name.startswith("polisent.")
+              for attr, value in vars(module).items()
+              if callable(getattr(value, "cache_info", None)) and value.cache_info().currsize]
+    assert filled == []
 
 
 NOT_UTF8 = b"@article 3 @outlet k\nAndi \xff\xfe baik.\n"
